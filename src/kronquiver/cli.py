@@ -44,6 +44,16 @@ def _weight(text):
         raise CliError(EXIT_PARSE, f"bad weight {text!r}: {exc}")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _emit(payload, fmt, text_renderer):
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
@@ -259,7 +269,7 @@ def build_parser():
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--lam", required=True)
-    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--l", type=_positive_int, default=None)
     p.add_argument("--method", default="all",
                    choices=["all", "polytope", "characters", "lr"])
     p.add_argument("--format", default="text", choices=["json", "text"])
@@ -268,17 +278,17 @@ def build_parser():
     p = sub.add_parser("truncated", help="2-truncated Kronecker product")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--l", type=_positive_int, default=None)
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.set_defaults(handler=cmd_truncated)
 
     p = sub.add_parser("cone", help="emit the diamond cone")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_positive_int, required=True)
     p.add_argument("--format", default="hrep", choices=["hrep", "json"])
     p.set_defaults(handler=cmd_cone)
 
     p = sub.add_parser("enumerate", help="lattice points of a weight section")
-    p.add_argument("--l", type=int, default=None, help="inferred from sigma")
+    p.add_argument("--l", type=_positive_int, default=None, help="inferred from sigma")
     p.add_argument("--sigma", required=True)
     p.add_argument("--lam", default=None)
     p.add_argument("--format", default="text", choices=["json", "text"])
@@ -287,14 +297,14 @@ def build_parser():
     p = sub.add_parser("verify", help="verification suites")
     vsub = p.add_subparsers(dest="suite", required=True)
     v = vsub.add_parser("exchange")
-    v.add_argument("--l", type=int, required=True)
-    v.add_argument("--trials", type=int, default=50)
+    v.add_argument("--l", type=_positive_int, required=True)
+    v.add_argument("--trials", type=_positive_int, default=50)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
     v = vsub.add_parser("actions")
-    v.add_argument("--l", type=int, required=True)
-    v.add_argument("--trials", type=int, default=20)
+    v.add_argument("--l", type=_positive_int, required=True)
+    v.add_argument("--trials", type=_positive_int, default=20)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
@@ -302,12 +312,12 @@ def build_parser():
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
     v = vsub.add_parser("tu")
-    v.add_argument("--l", type=int, required=True)
+    v.add_argument("--l", type=_positive_int, required=True)
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
     v = vsub.add_parser("cross")
     v.add_argument("--n-max", type=int, required=True)
-    v.add_argument("--l-max", type=int, required=True)
+    v.add_argument("--l-max", type=_positive_int, required=True)
     v.add_argument("--jobs", type=int, default=None,
                    help="worker count; defaults to the available parallelism")
     v.add_argument("--format", default="json", choices=["json", "text"])
@@ -319,7 +329,7 @@ def build_parser():
     p.set_defaults(handler=cmd_hilbert)
 
     p = sub.add_parser("phi", help="the diamond-to-hexagon comparison map")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_positive_int, required=True)
     p.add_argument("--g", default=None, help="comma-separated point to map")
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.set_defaults(handler=cmd_phi)

@@ -42,7 +42,7 @@ def check_unimodular_fan(fan: UnimodularFan):
         if len(cone) != fan.dim:
             issues.append(f"cone {idx}: {len(cone)} generators in dimension {fan.dim}")
             continue
-        det = linalg.bareiss_det([list(g) for g in cone])
+        det = linalg.det_frac(cone)
         if det not in (1, -1):
             issues.append(f"cone {idx}: generator determinant {det}")
     if issues:

@@ -86,24 +86,14 @@ class LatticePointSet:
 def diagnose(section: PolytopeSection) -> str:
     """Status of the rational relaxation: bounded, unbounded, or infeasible.
 
-    Boundedness is decided coordinatewise: a coordinate has a finite max
-    (min) exactly when the recession cone has no direction with that
-    coordinate equal to +1 (-1).
+    Decided by the per-coordinate LPs that ``_root_box`` falls back to: the
+    section is bounded exactly when every coordinate has a finite min and max.
     """
-    rhs0 = [0] * len(section.ineqs)
-    eq_rows = [a for a, _ in section.equalities]
-    eq_rhs = [b for _, b in section.equalities]
-    if not linalg.lp_feasible(section.ineqs, rhs0, eq_rows, eq_rhs):
-        return INFEASIBLE
     for i in range(section.dim):
-        unit = [0] * section.dim
-        unit[i] = 1
-        for target in (1, -1):
-            # Recession cone: A d >= 0, E d = 0, with coordinate i pinned.
-            if linalg.lp_feasible(section.ineqs, rhs0,
-                                  eq_rows + [tuple(unit)],
-                                  [0] * len(eq_rows) + [target]):
-                return UNBOUNDED
+        for sense in ("min", "max"):
+            status = _lp_bound(section, i, sense).status
+            if status != OPTIMAL:
+                return status
     return BOUNDED
 
 

@@ -1,32 +1,21 @@
-"""Exact rational linear algebra: Fraction matrices, integer lattice solving,
-interval propagation, and a two-phase simplex over the rationals.
+"""Exact rational linear algebra: Fraction determinant, inverse and rank,
+integer lattice solving, interval propagation, and a two-phase simplex over
+the rationals.
 
-No floating point is used anywhere; every routine is exact.
+This is the package's one home for Fraction elimination: ``rank``,
+``inverse`` and both simplex phases are built on the Gauss-Jordan step
+``_pivot``, and ``det_frac`` eliminates forward only.  ``solve_integer_system``
+uses unimodular integer column operations instead.  No floating point is used
+anywhere; every routine is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-Vec = tuple[int, ...]
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def mat_mul(a, b):
@@ -35,63 +24,79 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
+def _pivot(t, r, c):
+    """Gauss-Jordan step on the Fraction rows ``t``: scale row ``r`` so that
+    ``t[r][c] == 1``, then clear column ``c`` from every other row."""
+    piv = t[r][c]
+    row = t[r] = [v / piv for v in t[r]]
+    for i, other in enumerate(t):
+        if i != r and other[c]:
+            f = other[c]
+            t[i] = [a - f * b for a, b in zip(other, row)]
 
 
-def bareiss_det(m):
-    """Exact determinant of an integer square matrix (fraction-free)."""
+def det_frac(m) -> Fraction:
+    """Exact determinant of a square matrix with integer or Fraction entries.
+
+    Forward elimination only: a full Gauss-Jordan sweep would also clear the
+    rows above each pivot, which a determinant does not need.
+    """
     n = len(m)
     if n == 0:
-        return 1
-    a = [list(row) for row in m]
+        return Fraction(1)
+    a = [[Fraction(x) for x in row] for row in m]
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= a[i][i]
+    return out
+
+
+def _reduce(a, ncols):
+    """Bring the Fraction rows ``a`` to reduced row echelon form in their
+    first ``ncols`` columns, in place; returns the number of pivots."""
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        _pivot(a, r, c)
+        r += 1
+    return r
 
 
 def rank(m):
     """Rank of a matrix with integer or Fraction entries."""
     a = [[Fraction(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [inv * x for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return _reduce(a, len(a[0]) if a else 0)
+
+
+def inverse(m):
+    """Inverse of a square matrix as Fraction rows; raises ZeroDivisionError
+    when the matrix is singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in (*row, *e)] for row, e in zip(m, identity(n))]
+    if _reduce(a, n) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in a]
 
 
 def _ext_gcd(a, b):
@@ -255,31 +260,28 @@ class LPResult:
         return f"LPResult({self.status}, {self.value})"
 
 
-def _simplex(tableau, basis, ncols):
-    """Minimize the objective in row -1 of the tableau (Bland's rule)."""
-    m = len(tableau) - 1
+def _simplex(t, basis, first, stop):
+    """Minimize the objective in the last row of the tableau ``t`` by Bland's
+    rule, pricing columns ``first`` to ``stop - 1``.  Only the first
+    ``len(basis)`` rows are constraints, and a row whose basic column lies
+    below ``first`` defines a free variable: it never leaves."""
     while True:
-        obj = tableau[-1]
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        obj = t[-1]
+        enter = next((j for j in range(first, stop) if obj[j] < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
         best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
+        for i in range(len(basis)):
+            a = t[i][enter]
+            if a > 0 and basis[i] >= first:
+                ratio = t[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             return UNBOUNDED
-        piv = tableau[leave][enter]
-        row = tableau[leave] = [v / piv for v in tableau[leave]]
-        for i, t in enumerate(tableau):
-            if i != leave and t[enter]:
-                f = t[enter]
-                tableau[i] = [a - f * b for a, b in zip(t, row)]
+        _pivot(t, leave, enter)
         basis[leave] = enter
 
 
@@ -288,85 +290,71 @@ def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
 
     Constraints: ``ge_rows . x >= ge_rhs`` and ``eq_rows . x = eq_rhs``.
     Returns an LPResult; ``point`` is a tuple of Fractions when optimal.
+
+    Tableau columns: the n free variables, one surplus per >= row, then one
+    artificial per row that no free variable was pivoted into.  The phase-2
+    objective rides along as a row from the start, so every pivot keeps it
+    priced out.
     """
     n = len(objective)
-    rows = [([Fraction(v) for v in r], Fraction(b), False) for r, b in zip(ge_rows, ge_rhs)]
-    rows += [([Fraction(v) for v in r], Fraction(b), True) for r, b in zip(eq_rows, eq_rhs)]
+    ge = list(zip(ge_rows, ge_rhs))
+    rows = ge + list(zip(eq_rows, eq_rhs))
     m = len(rows)
-    nge = sum(1 for _, _, is_eq in rows if not is_eq)
+    width = n + len(ge)
+    t = []
+    for i, (coeffs, b) in enumerate(rows):
+        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * len(ge) + [Fraction(b)]
+        if i < len(ge):
+            row[n + i] = Fraction(-1)
+        t.append(row)
+    sign = -1 if sense == "max" else 1
+    t.append([sign * Fraction(c) for c in objective] + [Fraction(0)] * (len(ge) + 1))
 
-    # Columns: x+ (n), x- (n), surplus (one per >= row), artificials (m).
-    width = 2 * n + nge
-    tableau = []
-    surplus_idx = 0
-    art_cols = []
-    for coeffs, b, is_eq in rows:
-        row = [Fraction(0)] * (width + m + 1)
-        for j, v in enumerate(coeffs):
-            row[j] = v
-            row[n + j] = -v
-        if not is_eq:
-            row[2 * n + surplus_idx] = Fraction(-1)
-            surplus_idx += 1
-        if b < 0:
+    # Pivot every free variable into the basis.  Its column is then zero in
+    # every other row, so the rows left over constrain the surplus columns
+    # alone, and a free column that found no row is zero in all of them.
+    basis = [None] * m
+    for j in range(n):
+        r = next((i for i in range(m) if basis[i] is None and t[i][j]), None)
+        if r is not None:
+            _pivot(t, r, j)
+            basis[r] = j
+    rest = [i for i in range(m) if basis[i] is None]
+    for i, row in enumerate(t):
+        if i < m and basis[i] is None and row[-1] < 0:
             row = [-v for v in row]
-            b = -b
-        row[-1] = b
-        tableau.append(row)
-    for i in range(m):
-        tableau[i][width + i] = Fraction(1)
-        art_cols.append(width + i)
+        t[i] = row[:-1] + [Fraction(0)] * len(rest) + row[-1:]
 
-    # Phase 1: minimize the sum of artificials.
-    obj = [Fraction(0)] * (width + m + 1)
-    for c in art_cols:
-        obj[c] = Fraction(1)
-    for i in range(m):
-        obj = [a - b for a, b in zip(obj, tableau[i])]
-    tableau.append(obj)
-    basis = list(art_cols)
-    _simplex(tableau, basis, width + m)
-    if tableau[-1][-1] != 0:
+    # Phase 1: minimize the sum of artificials, starting from them as basis.
+    stop = width + len(rest)
+    t.append([Fraction(0)] * width + [Fraction(1)] * len(rest) + [Fraction(0)])
+    for k, i in enumerate(rest):
+        t[i][width + k] = Fraction(1)
+        _pivot(t, i, width + k)
+        basis[i] = width + k
+    _simplex(t, basis, n, stop)
+    if t.pop()[-1] != 0:
         return LPResult(INFEASIBLE)
 
     # Drive leftover artificials out of the basis where possible.
-    for i in range(m):
+    for i in rest:
         if basis[i] >= width:
-            enter = next((j for j in range(width) if tableau[i][j] != 0), None)
-            if enter is None:
-                continue
-            piv = tableau[i][enter]
-            row = tableau[i] = [v / piv for v in tableau[i]]
-            for k, t in enumerate(tableau):
-                if k != i and t[enter]:
-                    f = t[enter]
-                    tableau[k] = [a - f * b for a, b in zip(t, row)]
-            basis[i] = enter
+            enter = next((j for j in range(n, width) if t[i][j]), None)
+            if enter is not None:
+                _pivot(t, i, enter)
+                basis[i] = enter
 
-    # Phase 2.
-    sign = -1 if sense == "max" else 1
-    obj = [Fraction(0)] * (width + m + 1)
-    for j in range(n):
-        obj[j] = sign * Fraction(objective[j])
-        obj[n + j] = -sign * Fraction(objective[j])
-    for c in art_cols:
-        obj[c] = Fraction(0)
-    for i in range(m):
-        if basis[i] < width and obj[basis[i]]:
-            f = obj[basis[i]]
-            obj = [a - f * b for a, b in zip(obj, tableau[i])]
-    tableau[-1] = obj
-    # Artificial columns stay out: restrict pricing to the first ``width`` columns.
-    status = _simplex(tableau, basis, width)
-    if status == UNBOUNDED:
+    # Phase 2.  A nonbasic free column touches only the free rows, so a
+    # nonzero reduced cost there moves the objective without bound.
+    # Artificial columns stay out: pricing stops at ``width``.
+    if any(t[-1][:n]) or _simplex(t, basis, n, width) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    x = [Fraction(0)] * (2 * n)
+    point = [Fraction(0)] * n
     for i in range(m):
-        if basis[i] < 2 * n:
-            x[basis[i]] = tableau[i][-1]
-    point = tuple(x[j] - x[n + j] for j in range(n))
-    value = sum(Fraction(objective[j]) * point[j] for j in range(n))
-    return LPResult(OPTIMAL, value, point)
+        if basis[i] < n:
+            point[basis[i]] = t[i][-1]
+    value = sum(Fraction(c) * x for c, x in zip(objective, point))
+    return LPResult(OPTIMAL, value, tuple(point))
 
 
 def lp_feasible(ge_rows, ge_rhs, eq_rows=(), eq_rhs=()):

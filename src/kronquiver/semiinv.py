@@ -16,31 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diamond import DiamondVertex, V, build_diamond
-from .linalg import mat_mul
-
-
-def det_frac(m) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] / a[c][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
+from .linalg import det_frac, inverse, mat_mul
 
 
 @dataclass
@@ -105,7 +81,7 @@ class FlagRep:
         def act(m, tail, head):
             gt, gh = g(tail), g(head)
             if gt is not None:
-                m = mat_mul(_inverse(gt), m)
+                m = mat_mul(inverse(gt), m)
             if gh is not None:
                 m = mat_mul(m, gh)
             return m
@@ -115,24 +91,6 @@ class FlagRep:
         a1 = act(self.a1, -self.l, self.l)
         a2 = act(self.a2, -self.l, self.l)
         return FlagRep(self.l, neg, pos, a1, a2)
-
-
-def _inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
 
 
 def random_flag_rep(l, rng, lo=-9, hi=9) -> FlagRep:

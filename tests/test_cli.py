@@ -142,6 +142,21 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("phi", "--l", "0"),
+    ("phi", "--l", "-1"),
+    ("verify", "tu", "--l", "-2"),
+    ("coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--l", "0"),
+    ("verify", "exchange", "--l", "2", "--trials", "-1"),
+    ("verify", "cross", "--n-max", "3", "--l-max", "0"),
+])
+def test_nonpositive_rank_or_count_is_a_parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_determinism(capsys):
     args = ("coeff", "--mu", "3,2", "--nu", "2,2,1", "--lam", "3,2",
             "--method", "all", "--format", "json")

@@ -1,0 +1,171 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from kronquiver.linalg import (INFEASIBLE, OPTIMAL, UNBOUNDED, det_frac, dot,
+                               identity, inverse, mat_mul, rank, solve_lp)
+
+
+def laplace_det(m):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+# ---------------------------------------------------------------------------
+# Free columns in solve_lp.
+
+def test_variable_in_no_row_with_a_cost_is_unbounded():
+    # x1 appears in no constraint; x0 is boxed.
+    res = solve_lp([0, 1], [[1, 0], [-1, 0]], [0, -3], sense="max")
+    assert res.status == UNBOUNDED
+    res = solve_lp([0, 1], [[1, 0], [-1, 0]], [0, -3], sense="min")
+    assert res.status == UNBOUNDED
+
+
+def test_variable_in_no_row_without_a_cost_is_optimal():
+    res = solve_lp([1, 0], [[1, 0], [-1, 0]], [0, -3], sense="max")
+    assert res.status == OPTIMAL
+    assert res.value == 3 and res.point[0] == 3
+
+
+def test_no_rows_at_all():
+    assert solve_lp([0, 0], [], []).status == OPTIMAL
+    assert solve_lp([0, 1], [], []).status == UNBOUNDED
+
+
+def test_equality_only_system():
+    # x + y = 3, x - y = 1 pins (2, 1); the third row is redundant.
+    eq = [[1, 1], [1, -1], [2, 0]]
+    rhs = [3, 1, 4]
+    for sense in ("min", "max"):
+        res = solve_lp([5, -2], [], [], eq, rhs, sense=sense)
+        assert res.status == OPTIMAL
+        assert res.point == (2, 1) and res.value == 8
+    # One equality in two variables leaves a free line.
+    assert solve_lp([1, 0], [], [], [[1, 1]], [3]).status == UNBOUNDED
+    res = solve_lp([1, 1], [], [], [[1, 1]], [3], sense="min")
+    assert res.status == OPTIMAL and res.value == 3
+
+
+def test_inconsistent_equality_pair_is_infeasible():
+    res = solve_lp([1, 0], [], [], [[1, 1], [2, 2]], [1, 3])
+    assert res.status == INFEASIBLE
+    res = solve_lp([0, 0], [[1, 0]], [0], [[1, -1], [1, -1]], [0, Fraction(1, 2)])
+    assert res.status == INFEASIBLE
+
+
+def brute_force_optimum(objective, ge, ge_rhs, eq, eq_rhs, sense):
+    """Best objective over the vertices: every choice of tight >= rows that,
+    with the equalities, gives a nonsingular square system, solved with
+    ``inverse``.  None when no vertex is feasible."""
+    n = len(objective)
+    best = None
+    for tight in combinations(range(len(ge)), n - len(eq)):
+        a = [ge[i] for i in tight] + eq
+        b = [ge_rhs[i] for i in tight] + eq_rhs
+        try:
+            inv = inverse(a)
+        except ZeroDivisionError:
+            continue
+        x = [dot(row, b) for row in inv]
+        if any(dot(r, x) < h for r, h in zip(ge, ge_rhs)):
+            continue
+        if any(dot(r, x) != h for r, h in zip(eq, eq_rhs)):
+            continue
+        value = dot(objective, x)
+        if best is None or (value > best if sense == "max" else value < best):
+            best = value
+    return best
+
+
+def test_random_bounded_lps_match_the_best_vertex():
+    rng = random.Random(5)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        # A box keeps every instance bounded, so a feasible one has a vertex.
+        ge = [[int(i == j) * s for j in range(n)] for i in range(n) for s in (1, -1)]
+        ge_rhs = [-rng.randint(1, 4) for _ in ge]
+        for _ in range(rng.randint(0, 4)):
+            ge.append([rng.randint(-3, 3) for _ in range(n)])
+            ge_rhs.append(rng.randint(-4, 2))
+        eq, eq_rhs = [], []
+        if rng.random() < 0.3:
+            row = [rng.randint(-2, 2) for _ in range(n - 1)] + [rng.randint(1, 2)]
+            eq.append(row)
+            eq_rhs.append(rng.randint(-2, 2))
+        objective = [rng.randint(-3, 3) for _ in range(n)]
+        sense = rng.choice(["min", "max"])
+        res = solve_lp(objective, ge, ge_rhs, eq, eq_rhs, sense=sense)
+        best = brute_force_optimum(objective, ge, ge_rhs, eq, eq_rhs, sense)
+        if best is None:
+            assert res.status == INFEASIBLE
+        else:
+            assert res.status == OPTIMAL and res.value == best
+            assert dot(objective, res.point) == best
+            assert all(dot(r, res.point) >= h for r, h in zip(ge, ge_rhs))
+            assert all(dot(r, res.point) == h for r, h in zip(eq, eq_rhs))
+        seen[res.status] += 1
+    assert min(seen.values()) > 10, seen
+
+
+# ---------------------------------------------------------------------------
+# det_frac, inverse, rank.
+
+def test_det_frac_small_cases():
+    assert det_frac([]) == 1
+    assert det_frac([[0, 1], [1, 0]]) == -1
+    assert det_frac([[2, 1], [1, 1]]) == 1
+    assert det_frac([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]) \
+        == Fraction(1, 60)
+    assert det_frac([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+    assert det_frac([[0, 0], [0, 0]]) == 0
+
+
+def test_det_frac_matches_cofactor_expansion():
+    rng = random.Random(3)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        m = [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(k)]
+             for _ in range(k)]
+        if rng.random() < 0.3:
+            m[-1] = [2 * x for x in m[0]]
+        assert det_frac(m) == laplace_det(m)
+
+
+def test_inverse_of_integer_and_fraction_matrices():
+    assert inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    m = [[Fraction(1, 2), 0, 1], [0, 3, Fraction(-1, 3)], [1, 1, 1]]
+    inv = inverse(m)
+    assert mat_mul(m, inv) == identity(3)
+    assert mat_mul(inv, m) == identity(3)
+    assert det_frac(inv) == 1 / det_frac(m)
+    # a zero leading entry needs a row swap
+    assert inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("m", [
+    [[0, 0], [0, 0]],
+    [[1, 2], [2, 4]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]],
+])
+def test_inverse_of_singular_matrix_raises(m):
+    with pytest.raises(ZeroDivisionError):
+        inverse(m)
+
+
+def test_rank():
+    assert rank([]) == 0
+    assert rank([[0, 0, 0]]) == 0
+    assert rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+    assert rank([[0, 1], [1, 0], [1, 1]]) == 2
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert rank([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == 2
+    assert rank(identity(4)) == 4
