@@ -16,7 +16,6 @@ from . import engine, fanhex, semiinv
 from .diamond import PAPER_DIAMOND2_ALIAS, cone_inequalities, diamond_vertices
 from .lattice import SectionError, enumerate_points
 from .partitions import Partition, Weight
-from .symfunc import load_cache_file, save_cache_file
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,14 +43,20 @@ def _weight(text):
         raise CliError(EXIT_PARSE, f"bad weight {text!r}: {exc}")
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low):
+    """Argparse type for an int no smaller than ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _emit(payload, fmt, text_renderer):
@@ -218,19 +223,15 @@ def cmd_phi(args):
     return EXIT_OK, _emit(payload, args.format, text)
 
 
-def _verify_payload(report):
-    return report.to_json_dict()
-
-
 def cmd_verify(args):
     fmt = args.format
     if args.suite == "exchange":
         report = semiinv.verify_exchange(args.l, args.trials, args.seed)
-        payload = _verify_payload(report)
+        payload = report.to_json_dict()
         ok = report.ok
     elif args.suite == "actions":
         report = semiinv.verify_group_actions(args.l, args.trials, args.seed)
-        payload = _verify_payload(report)
+        payload = report.to_json_dict()
         ok = report.ok
     elif args.suite == "fan":
         ok, issues = fanhex.check_unimodular_fan(fanhex.diamond2_fan())
@@ -243,7 +244,7 @@ def cmd_verify(args):
         ok, issues = fanhex.check_tu_blocks(args.l)
         payload = {"relation": "tu-blocks", "l": args.l, "ok": ok, "issues": issues}
     elif args.suite == "cross":
-        jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+        jobs = args.jobs or os.cpu_count() or 1
         report = engine.cross_validate(args.n_max, args.l_max, jobs)
         payload = report.to_json_dict()
         payload.pop("elapsed", None)
@@ -316,9 +317,9 @@ def build_parser():
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
     v = vsub.add_parser("cross")
-    v.add_argument("--n-max", type=int, required=True)
+    v.add_argument("--n-max", type=_int_at_least(0), required=True)
     v.add_argument("--l-max", type=_positive_int, required=True)
-    v.add_argument("--jobs", type=int, default=None,
+    v.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker count; defaults to the available parallelism")
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
@@ -359,12 +360,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_dashed_values(list(argv)))
-    cache_path = None
-    cache_dir = os.environ.get("KRON_CACHE_DIR")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, "memo.json")
-        load_cache_file(cache_path)
     try:
         code, output = args.handler(args)
         sys.stdout.write(output)
@@ -375,12 +370,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVARIANT
-    finally:
-        if cache_path:
-            try:
-                save_cache_file(cache_path)
-            except OSError:
-                pass
 
 
 if __name__ == "__main__":

@@ -145,10 +145,6 @@ class WeightConfiguration:
         return [list(self.rows[v]) for v in self.quiver.vertices]
 
 
-def mutate_quiver(quiver: IceQuiver, u) -> IceQuiver:
-    return quiver.mutate(u)
-
-
 def mutate_weight_config(quiver: IceQuiver, config: WeightConfiguration, u) -> WeightConfiguration:
     """New configuration for the mutated quiver: the row at u becomes the
     outgoing-weight sum minus the old row; everything else is unchanged."""
@@ -261,11 +257,6 @@ def y_monomial(quiver: IceQuiver, u) -> LaurentPoly:
     """The hatted coefficient y_u = x^(-b_u) as a one-term Laurent polynomial."""
     row = quiver.b_row(u)
     return LaurentPoly.monomial(len(quiver.vertices), tuple(-b for b in row))
-
-
-def verify_laurent_identity(lhs: LaurentPoly, rhs: LaurentPoly) -> bool:
-    """Structural equality of canonicalized Laurent polynomials."""
-    return lhs == rhs
 
 
 def b_matrix_mutation(b, u_idx):

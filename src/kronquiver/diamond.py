@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cluster import IceQuiver, WeightConfiguration
+from .lattice import PolytopeSection, section_to_hrep
 
 
 @dataclass(frozen=True, order=False)
@@ -29,20 +30,12 @@ class DiamondVertex:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.sign == -1 and (self.j == 0 or self.k == 0):
+            # (i,0;i) == (i;i,0) and (0,i;i) == (i;0,i): only the sign changes.
             object.__setattr__(self, "sign", 1)
-            if self.k == 0:
-                pass  # (i,0;i) == (i;i,0): the (j,k) pair is already (i,0)
-            else:
-                object.__setattr__(self, "j", 0)
-                object.__setattr__(self, "k", self.i)
 
     @property
     def horizontal(self) -> bool:
         return self.j == 0 or self.k == 0
-
-    @property
-    def vertical(self) -> bool:
-        return self.j == self.k
 
     def neg(self) -> "DiamondVertex":
         """The sign involution (i;j,k) <-> (j,k;i)."""
@@ -249,12 +242,9 @@ class ConeSystem:
         return [r for r, _tag in self.rows]
 
     def to_hrep(self) -> str:
-        lines = [f"# g-vector cone of the rank-{self.l} diamond quiver",
-                 f"dim {self.dim}", f"ineq {len(self.rows)}"]
-        for coeffs, tag in self.rows:
-            lines.append(" ".join(str(c) for c in coeffs) + f"  # {tag}")
-        lines.append("eq 0")
-        return "\n".join(lines) + "\n"
+        return section_to_hrep(PolytopeSection.from_cone(self),
+                               f"g-vector cone of the rank-{self.l} diamond quiver",
+                               [tag for _r, tag in self.rows])
 
     def to_json_dict(self):
         return {

@@ -12,7 +12,7 @@ from itertools import combinations
 from . import linalg
 from .cluster import LaurentPoly
 from .diamond import DiamondVertex, V, diamond_vertices
-from .lattice import PolytopeSection, count_points
+from .lattice import PolytopeSection, count_points, section_to_hrep
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +261,11 @@ class HexSystem:
         return out
 
     def to_hrep(self) -> str:
-        lines = [f"# hexagon cone of rank {self.l}; columns are "
-                 + " ".join(f"({a},{b})" for a, b in self.vertices),
-                 f"dim {self.dim}", f"ineq {len(self.rows)}"]
-        for row, tag in self.row_vectors():
-            lines.append(" ".join(str(x) for x in row) + f"  # {tag}")
-        lines.append("eq 0")
-        return "\n".join(lines) + "\n"
+        rows = self.row_vectors()
+        columns = " ".join(f"({a},{b})" for a, b in self.vertices)
+        return section_to_hrep(PolytopeSection(self.dim, [r for r, _tag in rows]),
+                               f"hexagon cone of rank {self.l}; columns are {columns}",
+                               [tag for _r, tag in rows])
 
 
 def _as_hex_dict(l, h):

@@ -11,6 +11,7 @@ the raw rows in integer arithmetic.  No floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import linalg
@@ -74,7 +75,9 @@ class LatticePointSet:
         return len(self.points)
 
     def __contains__(self, p):
-        return tuple(p) in set(self.points)
+        p = tuple(p)
+        i = bisect_left(self.points, p)
+        return i < len(self.points) and self.points[i] == p
 
     def __eq__(self, other):
         return isinstance(other, LatticePointSet) and self.points == other.points
@@ -205,14 +208,17 @@ def count_points(section: PolytopeSection) -> int:
 # ---------------------------------------------------------------------------
 # H-representation text format.
 
-def section_to_hrep(section: PolytopeSection, comment=None) -> str:
+def section_to_hrep(section: PolytopeSection, comment=None, tags=None) -> str:
+    """Text H-representation; ``tags``, one per inequality row, are written
+    as trailing comments."""
     lines = []
     if comment:
         lines.append(f"# {comment}")
     lines.append(f"dim {section.dim}")
     lines.append(f"ineq {len(section.ineqs)}")
-    for r in section.ineqs:
-        lines.append(" ".join(str(x) for x in r))
+    for n, r in enumerate(section.ineqs):
+        row = " ".join(str(x) for x in r)
+        lines.append(f"{row}  # {tags[n]}" if tags else row)
     lines.append(f"eq {len(section.equalities)}")
     for a, b in section.equalities:
         lines.append(" ".join(str(x) for x in a) + f" {b}")

@@ -85,9 +85,6 @@ class Partition:
         """Whether other's diagram fits inside this one."""
         return all(self[i] >= other[i] for i in range(len(other)))
 
-    def pad(self, n: int) -> tuple[int, ...]:
-        return self._parts + (0,) * (n - len(self._parts))
-
 
 def partitions_of(n: int, max_length: int | None = None,
                   max_part: int | None = None) -> Iterator[Partition]:

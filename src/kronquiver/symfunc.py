@@ -2,7 +2,10 @@
 by direct tableau backtracking, symmetric-group characters by border-strip
 recursion, and the LR-based two-row Kronecker formula.
 
-All arithmetic is exact (Python integers / Fractions).
+All arithmetic is exact (Python integers / Fractions).  LR coefficients,
+characters and multiple LR products are memoized in module dictionaries
+that live only as long as the process; nothing is read from or written to
+disk.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from .partitions import Partition, partitions_of
 _LR_MEMO: dict = {}
 _MN_MEMO: dict = {}
 _MULTI_LR_MEMO: dict = {}
-
-CACHE_VERSION = "kronquiver-memo-v1"
 
 
 class SchurExpansion:
@@ -54,28 +55,13 @@ class SchurExpansion:
         return f"SchurExpansion({self})"
 
 
-class CycleType:
-    """Conjugacy class of the symmetric group, as a partition of n."""
-
-    __slots__ = ("rho",)
-
-    def __init__(self, rho: Partition):
-        self.rho = rho
-
-    @property
-    def zed(self) -> int:
-        """Centralizer order: product of i^m_i * m_i! over part multiplicities."""
-        z = 1
-        for part, mult in Counter(self.rho.parts).items():
-            z *= part ** mult * factorial(mult)
-        return z
-
-    def sign(self) -> int:
-        """Sign character of the class."""
-        return (-1) ** (self.rho.size - self.rho.length)
-
-    def __repr__(self):
-        return f"CycleType({self.rho!r})"
+def zed(rho: Partition) -> int:
+    """Centralizer order of the class rho: product of i^m_i * m_i! over part
+    multiplicities."""
+    z = 1
+    for part, mult in Counter(rho.parts).items():
+        z *= part ** mult * factorial(mult)
+    return z
 
 
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -161,14 +147,8 @@ def multi_lr(etas, lam: Partition) -> int:
     return result
 
 
-def _beta_numbers(lam: Partition, length: int):
-    return [lam[i] + (length - 1 - i) for i in range(length)]
-
-
-def mn_character(lam: Partition, rho) -> int:
+def mn_character(lam: Partition, rho: Partition) -> int:
     """Character chi^lam at the class rho, by border-strip recursion."""
-    if isinstance(rho, CycleType):
-        rho = rho.rho
     if lam.size != rho.size:
         raise ValueError(f"size mismatch: |lam|={lam.size} |rho|={rho.size}")
     return _mn(lam.parts, rho.parts)
@@ -208,10 +188,9 @@ def kron_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
         raise ValueError("partitions must have equal size")
     total = Fraction(0)
     for rho in partitions_of(n):
-        ct = CycleType(rho)
         total += Fraction(
             mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho),
-            ct.zed,
+            zed(rho),
         )
     if total.denominator != 1 or total < 0:
         raise ArithmeticError(f"character sum is not a nonnegative integer: {total}")
@@ -359,32 +338,3 @@ def schur_from_weights(weights) -> SchurExpansion:
     sizes = {p.size for p in coeffs}
     degree = sizes.pop() if len(sizes) == 1 else None
     return SchurExpansion(coeffs, degree)
-
-
-# ---------------------------------------------------------------------------
-# Optional persistent memo store (used by the CLI via KRON_CACHE_DIR).
-
-def save_cache_file(path) -> None:
-    data = {
-        "version": CACHE_VERSION,
-        "lr": [[list(k[0]), list(k[1]), list(k[2]), v] for k, v in _LR_MEMO.items()],
-        "mn": [[list(k[0]), list(k[1]), v] for k, v in _MN_MEMO.items()],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-
-
-def load_cache_file(path) -> bool:
-    """Load a memo store; silently ignores missing or version-mismatched files."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    if data.get("version") != CACHE_VERSION:
-        return False
-    for lam, mu, nu, v in data.get("lr", []):
-        _LR_MEMO[(tuple(lam), tuple(mu), tuple(nu))] = v
-    for lam, rho, v in data.get("mn", []):
-        _MN_MEMO[(tuple(lam), tuple(rho))] = v
-    return True

@@ -9,7 +9,7 @@ from itertools import product
 
 from kronquiver import linalg
 from kronquiver.cli import main as cli_main
-from kronquiver.cluster import LaurentPoly, mutate_quiver, mutate_weight_config, y_monomial
+from kronquiver.cluster import LaurentPoly, mutate_weight_config, y_monomial
 from kronquiver.diamond import (PAPER_DIAMOND2_ALIAS, V, build_diamond,
                                 cone_inequalities, diamond_vertices)
 from kronquiver.engine import (KroneckerQuery, cross_validate, kronecker,
@@ -221,12 +221,12 @@ def test_criterion_9_property_suites():
         for l in (2, 3):
             quiver, config = build_diamond(l)
             for u in quiver.mutable_vertices:
-                assert mutate_quiver(mutate_quiver(quiver, u), u).arrows == quiver.arrows
+                assert quiver.mutate(u).mutate(u).arrows == quiver.arrows
             cur_q, cur_cfg = quiver, config
             for _ in range(20):
                 u = rng.choice(cur_q.mutable_vertices)
                 cur_cfg = mutate_weight_config(cur_q, cur_cfg, u)
-                cur_q = mutate_quiver(cur_q, u)
+                cur_q = cur_q.mutate(u)
                 assert cur_cfg.is_valid()
         for _ in range(10):
             n = rng.randint(1, 7)

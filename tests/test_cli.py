@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +6,7 @@ import pytest
 
 from kronquiver.cli import main
 from kronquiver.lattice import parse_hrep
+from kronquiver.partitions import partitions_of
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -77,9 +77,26 @@ def test_enumerate_json_schema(capsys):
     assert payload["count"] == 2
 
 
+CONE_L2_HREP = """\
+# g-vector cone of the rank-2 diamond quiver
+dim 6
+ineq 9
+1 1 0 1 0 0  # tp+[2;1,1] suffix@1
+1 0 0 1 0 0  # tp+[2;1,1] suffix@2
+0 0 0 1 0 0  # tp+[2;1,1] suffix@3
+1 1 0 0 0 1  # tp-[2;1,1] suffix@1
+1 0 0 0 0 1  # tp-[2;1,1] suffix@2
+0 0 0 0 0 1  # tp-[2;1,1] suffix@3
+0 1 0 0 1 0  # tp[2;0,2] suffix@0
+0 0 0 0 1 0  # tp[2;0,2] suffix@1
+0 0 1 0 0 0  # e[2;2,0]
+eq 0
+"""
+
+
 def test_cone_hrep_and_json(capsys):
     code, out = run_cli(capsys, "cone", "--l", "2", "--format", "hrep")
-    assert code == 0
+    assert code == 0 and out == CONE_L2_HREP
     section = parse_hrep(out)
     assert section.dim == 6 and len(section.ineqs) == 9
     code, out = run_cli(capsys, "cone", "--l", "2", "--format", "json")
@@ -149,6 +166,9 @@ def test_exit_codes(capsys):
     ("coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--l", "0"),
     ("verify", "exchange", "--l", "2", "--trials", "-1"),
     ("verify", "cross", "--n-max", "3", "--l-max", "0"),
+    ("verify", "cross", "--n-max", "-3", "--l-max", "2"),
+    ("verify", "cross", "--n-max", "3", "--l-max", "2", "--jobs", "0"),
+    ("verify", "cross", "--n-max", "3", "--l-max", "2", "--jobs", "-1"),
 ])
 def test_nonpositive_rank_or_count_is_a_parse_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -169,20 +189,22 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_cache_dir_round_trip(capsys, tmp_path, monkeypatch):
+def test_memo_file_in_cache_dir_is_ignored(capsys, tmp_path, monkeypatch):
+    # The oracles' memos live only in the process: a memo.json left in
+    # KRON_CACHE_DIR, corrupt or malformed, is neither read nor rewritten.
+    corrupt = {"version": "kronquiver-memo-v1", "mn": [],
+               "lr": [[list(lam.parts), list(mu.parts), list(nu.parts), 6]
+                      for lam in partitions_of(3) for k in range(4)
+                      for mu in partitions_of(k) for nu in partitions_of(3 - k)]}
     monkeypatch.setenv("KRON_CACHE_DIR", str(tmp_path))
-    code, out1 = run_cli(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
-                         "--lam", "3", "--format", "json")
-    assert code == 0
     cache = tmp_path / "memo.json"
-    assert cache.exists()
-    data = json.loads(cache.read_text())
-    assert data["version"].startswith("kronquiver-memo")
-    code, out2 = run_cli(capsys, "coeff", "--mu", "2,1", "--nu", "2,1",
-                         "--lam", "3", "--format", "json")
-    assert code == 0 and out1 == out2
-    # a stale or foreign file is ignored, not fatal
-    cache.write_text(json.dumps({"version": "other"}))
-    code, _ = run_cli(capsys, "coeff", "--mu", "2", "--nu", "2",
-                      "--lam", "2", "--format", "json")
-    assert code == 0
+    argv = ("coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--method", "lr")
+    outputs = []
+    for text in (json.dumps(corrupt), '{"version": "kronquiver-memo-v1", "lr": 5}',
+                 "[1,2]"):
+        cache.write_text(text)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and "g = 1\n" in out
+        assert cache.read_text() == text
+        outputs.append(out)
+    assert outputs == [outputs[0]] * 3
