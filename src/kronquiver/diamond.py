@@ -97,23 +97,15 @@ def diamond_arrows(l: int):
     for sign in (1, -1):
         for i in range(1, l + 1):
             for j in range(0, i + 1):
+                # With sign -1 a horizontal (j, k) builds the same vertex as
+                # with sign +, so that vertex also gets the arrows of its
+                # negative presentation; duplicates collapse onto one arrow.
                 k = i - j
-                if sign == -1 and (j == 0 or k == 0):
-                    continue  # identified with the positive presentation
                 src = V(sign, i, j, k)
                 for kind in "ABC":
                     dst = _arrow_target(l, sign, i, j, k, kind)
                     if dst is not None:
                         seen[(src, dst, kind)] = 1
-    # Horizontal vertices also act through their negative presentation
-    # (j,k;i) = (i,0;i) or (0,i;i); duplicates collapse onto one arrow.
-    for i in range(1, l + 1):
-        for (j, k) in ((i, 0), (0, i)):
-            src = V(1, i, j, k)
-            for kind in "ABC":
-                dst = _arrow_target(l, -1, i, j, k, kind)
-                if dst is not None:
-                    seen[(src, dst, kind)] = 1
     doubled = (V(1, 1, 0, 1), V(1, 1, 1, 0), "C")
     if doubled in seen:
         seen[doubled] = 2

@@ -430,7 +430,6 @@ def sigma_hat_vertex(l: int, cell) -> dict:
         add(_arm_unit(1, a, l))
         add(_arm_unit(2, b, l))
         add(_arm_unit(3, l - a - b, l))
-        add(_arm_unit("c", -l, l), 0)
         out[("c", l)] -= 1
     elif a <= 0 and b <= 0:
         add(_arm_unit(1, b, l), -1)

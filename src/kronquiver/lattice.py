@@ -1,18 +1,19 @@
 """Exact enumeration of integer points in rational polytope sections given by
 integer inequality rows a.g >= 0 plus equality rows a.g = b.
 
-Strategy: the equality lattice is solved Hermite-style to certify integer
-solvability, finite coordinate boxes are established by exact interval
-propagation over the combined row system (with exact-LP fallback for any
-coordinate propagation fails to bound), and a depth-first scan with per-node
-propagation collects the points.  Every returned point is re-verified against
-the raw rows in integer arithmetic.  No floating point anywhere.
+One scan, ``_scan``: a Hermite-style integer solve certifies that the equality
+lattice has a point; interval propagation over every constraint, written as
+one-sided rows, bounds what it can of the coordinate box, and ``_lp_box``, the
+module's only exact LP, bounds the rest; a depth-first scan with per-node
+propagation then keeps each leaf that meets the raw rows in integer
+arithmetic.  ``diagnose`` is ``_lp_box`` on a box with no side known.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from fractions import Fraction
 
 from . import linalg
 from .linalg import INFEASIBLE, OPTIMAL, UNBOUNDED
@@ -52,21 +53,12 @@ class PolytopeSection:
             return False
         return all(linalg.dot(a, point) == b for a, b in self.equalities)
 
-    def propagation_rows(self):
-        """All constraints as one-sided rows a.g >= r."""
-        rows = [(a, 0) for a in self.ineqs]
-        for a, b in self.equalities:
-            rows.append((a, b))
-            rows.append((tuple(-x for x in a), -b))
-        return rows
-
 
 class LatticePointSet:
-    """Sorted, duplicate-free list of integer points with an exactness flag."""
+    """Sorted, duplicate-free list of integer points."""
 
-    def __init__(self, points, exact=True):
+    def __init__(self, points):
         self.points = tuple(sorted(set(tuple(p) for p in points)))
-        self.exact = exact
 
     def __iter__(self):
         return iter(self.points)
@@ -89,102 +81,75 @@ class LatticePointSet:
 def diagnose(section: PolytopeSection) -> str:
     """Status of the rational relaxation: bounded, unbounded, or infeasible.
 
-    Decided by the per-coordinate LPs that ``_root_box`` falls back to: the
-    section is bounded exactly when every coordinate has a finite min and max.
+    The section is bounded exactly when every coordinate has a finite min and
+    max, so this is ``_lp_box`` on a box with no side known.
     """
+    return _lp_box(section, [None] * section.dim, [None] * section.dim)
+
+
+def _lp_box(section: PolytopeSection, lo, hi) -> str:
+    """Fill each None side of the box ``lo``/``hi`` with the exact LP optimum
+    of its coordinate, rounded inward; sides go coordinate by coordinate, min
+    before max.  Returns the first status that is not optimal, with the sides
+    from that one on left None, or BOUNDED."""
+    eq_rows = [a for a, _ in section.equalities]
+    eq_rhs = [b for _, b in section.equalities]
     for i in range(section.dim):
-        for sense in ("min", "max"):
-            status = _lp_bound(section, i, sense).status
-            if status != OPTIMAL:
-                return status
+        objective = [int(j == i) for j in range(section.dim)]
+        for sense, side, inward in (("min", lo, math.ceil), ("max", hi, math.floor)):
+            if side[i] is None:
+                res = linalg.solve_lp(objective, section.ineqs, [0] * len(section.ineqs),
+                                      eq_rows, eq_rhs, sense=sense)
+                if res.status != OPTIMAL:
+                    return res.status
+                side[i] = inward(res.value)
     return BOUNDED
 
 
-def is_bounded(section: PolytopeSection) -> bool:
-    return diagnose(section) == BOUNDED
-
-
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator) if isinstance(x, Fraction) else x
-
-
-def _floor_frac(x):
-    return x.numerator // x.denominator if isinstance(x, Fraction) else x
-
-
-def _lp_bound(section, i, sense):
-    objective = [0] * section.dim
-    objective[i] = 1
-    return linalg.solve_lp(objective, section.ineqs, [0] * len(section.ineqs),
-                           [a for a, _ in section.equalities],
-                           [b for _, b in section.equalities], sense=sense)
-
-
-def _root_box(section: PolytopeSection):
-    """Finite integer box containing all lattice points, or None when the
-    section is provably empty.  Raises SectionError on an unbounded section."""
-    rows = section.propagation_rows()
+def _scan(section: PolytopeSection) -> list:
+    """Integer points of the section in scan order.  Raises SectionError on an
+    unbounded section."""
+    if section.equalities:
+        # Certify integer solvability of the equality lattice before scanning.
+        if linalg.solve_integer_system([a for a, _ in section.equalities],
+                                       [b for _, b in section.equalities]) is None:
+            return []
+    # Every constraint as a one-sided row a.g >= r.
+    rows = [(a, 0) for a in section.ineqs]
+    for a, b in section.equalities:
+        rows += [(a, b), (tuple(-x for x in a), -b)]
     box = linalg.propagate_box(rows, [None] * section.dim, [None] * section.dim)
     if box is None:
-        return None
+        return []
     lo, hi = box
-    for i in range(section.dim):
-        for side, cur in (("min", lo), ("max", hi)):
-            if cur[i] is not None:
-                continue
-            res = _lp_bound(section, i, side)
-            if res.status == INFEASIBLE:
-                return None
-            if res.status == UNBOUNDED:
-                raise SectionError(UNBOUNDED, f"coordinate {i} has no finite {side}")
-            cur[i] = _ceil_frac(res.value) if side == "min" else _floor_frac(res.value)
-    return rows, lo, hi
+    status = _lp_box(section, lo, hi)
+    if status == INFEASIBLE:
+        return []
+    if status == UNBOUNDED:
+        i = next(i for i in range(section.dim) if lo[i] is None or hi[i] is None)
+        side = "min" if lo[i] is None else "max"
+        raise SectionError(UNBOUNDED, f"coordinate {i} has no finite {side}")
+    points = []
 
-
-class _Scan:
-    """Depth-first integer scan with per-node interval propagation."""
-
-    def __init__(self, rows, collect):
-        self.rows = rows
-        self.collect = collect
-        self.points = []
-        self.count = 0
-
-    def descend(self, lo, hi):
-        box = linalg.propagate_box(self.rows, lo, hi, max_rounds=6)
+    def descend(lo, hi):
+        box = linalg.propagate_box(rows, lo, hi, max_rounds=6)
         if box is None:
             return
         lo, hi = box
         widths = [(h - l, i) for i, (l, h) in enumerate(zip(lo, hi)) if h > l]
         if not widths:
-            point = tuple(lo)
-            if all(linalg.dot(a, point) >= r for a, r in self.rows):
-                self.count += 1
-                if self.collect:
-                    self.points.append(point)
+            if section.contains(lo):
+                points.append(tuple(lo))
             return
         _, var = min(widths)
         for val in range(lo[var], hi[var] + 1):
             nlo = list(lo)
             nhi = list(hi)
             nlo[var] = nhi[var] = val
-            self.descend(nlo, nhi)
+            descend(nlo, nhi)
 
-
-def _scan(section: PolytopeSection, collect: bool):
-    if section.equalities:
-        # Certify integer solvability of the equality lattice before scanning.
-        sol = linalg.solve_integer_system([a for a, _ in section.equalities],
-                                          [b for _, b in section.equalities])
-        if sol is None:
-            return [] if collect else 0
-    prep = _root_box(section)
-    if prep is None:
-        return [] if collect else 0
-    rows, lo, hi = prep
-    scan = _Scan(rows, collect)
-    scan.descend(lo, hi)
-    return scan.points if collect else scan.count
+    descend(lo, hi)
+    return points
 
 
 def enumerate_points(section: PolytopeSection) -> LatticePointSet:
@@ -193,7 +158,7 @@ def enumerate_points(section: PolytopeSection) -> LatticePointSet:
     Raises SectionError when the rational relaxation is unbounded; an
     infeasible or integer-empty section yields the empty set.
     """
-    points = _scan(section, collect=True)
+    points = _scan(section)
     for g in points:
         if not section.contains(g):
             raise AssertionError(f"scan produced a non-member point {g}")
@@ -201,8 +166,8 @@ def enumerate_points(section: PolytopeSection) -> LatticePointSet:
 
 
 def count_points(section: PolytopeSection) -> int:
-    """Number of integer points, without materializing the full vectors."""
-    return _scan(section, collect=False)
+    """Number of integer points of the section."""
+    return len(_scan(section))
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,8 @@ def solve_integer_system(eq_rows, rhs):
     """Solve E x = b over the integers.
 
     ``eq_rows`` is a list of integer rows, ``rhs`` the integer right-hand
-    sides.  Returns ``(x0, kernel)`` where ``x0`` is one integer solution and
-    ``kernel`` is a list of integer vectors spanning the solution lattice, or
-    ``None`` when no integer solution exists (including the rationally
-    infeasible case).
+    sides.  Returns one integer solution ``x0`` as a tuple, or ``None`` when
+    no integer solution exists (including the rationally infeasible case).
     """
     m = len(eq_rows)
     n = len(eq_rows[0]) if m else 0
@@ -169,9 +167,7 @@ def solve_integer_system(eq_rows, rhs):
         elif acc != 0:
             return None
 
-    x0 = tuple(sum(u[i][j] * y[j] for j in range(col)) for i in range(n))
-    kernel = [tuple(u[i][j] for i in range(n)) for j in range(col, n)]
-    return x0, kernel
+    return tuple(sum(u[i][j] * y[j] for j in range(col)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ _MULTI_LR_MEMO: dict = {}
 class SchurExpansion:
     """Finite integer combination of Schur polynomials, keyed by partition."""
 
-    def __init__(self, coeffs, degree=None):
+    def __init__(self, coeffs):
         self.coeffs = {p: c for p, c in coeffs.items() if c != 0}
-        self.degree = degree
 
     def __eq__(self, other):
         return isinstance(other, SchurExpansion) and self.coeffs == other.coeffs
@@ -335,6 +334,4 @@ def schur_from_weights(weights) -> SchurExpansion:
             rebuilt[(a - t, b + t)] += c
     if rebuilt != mult:
         raise ValueError("not a character: weight multiset does not rebuild")
-    sizes = {p.size for p in coeffs}
-    degree = sizes.pop() if len(sizes) == 1 else None
-    return SchurExpansion(coeffs, degree)
+    return SchurExpansion(coeffs)

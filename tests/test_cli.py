@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from kronquiver import engine, symfunc
 from kronquiver.cli import main
 from kronquiver.lattice import parse_hrep
 from kronquiver.partitions import partitions_of
@@ -157,6 +158,24 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _ = run_cli(capsys, "enumerate", "--sigma", "not-a-weight")
     assert code == 2
+
+
+@pytest.mark.parametrize("method", ["polytope", "characters"])
+def test_internal_check_failure_exits_4(capsys, monkeypatch, method):
+    # A negative polytope difference or a non-integral character sum is a
+    # failed internal check: exit 4 with a message, no traceback, no stdout.
+    if method == "polytope":
+        counts = iter((0, 1))  # n_lambda - n_lambda_omega = -1
+        monkeypatch.setattr(engine, "count_points", lambda section: next(counts))
+    else:
+        def not_integral(*partitions):
+            raise ArithmeticError("character sum is not a nonnegative integer: 1/2")
+        monkeypatch.setattr(symfunc, "kron_characters", not_integral)
+    code = main(["coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--method", method])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -54,6 +54,20 @@ def test_arrow_types_are_well_defined():
             assert mult == (2 if (s, d) == (V(1, 1, 0, 1), V(1, 1, 1, 0)) else 1)
 
 
+def test_arrow_list_pinned():
+    # Horizontal sources act through both presentations; each arrow is listed
+    # once, sorted by source, target and kind.
+    assert [(str(s), str(d), mult, kind) for s, d, mult, kind in diamond_arrows(2)] == [
+        ("(1;1,0)+", "(2;1,1)+", 1, "B"), ("(1;1,0)+", "(1,1;2)-", 1, "B"),
+        ("(1;0,1)+", "(1;1,0)+", 2, "C"), ("(1;0,1)+", "(2;0,2)+", 1, "B"),
+        ("(2;2,0)+", "(1;1,0)+", 1, "A"), ("(2;1,1)+", "(1;0,1)+", 1, "A"),
+        ("(2;1,1)+", "(2;2,0)+", 1, "C"), ("(2;0,2)+", "(2;1,1)+", 1, "C"),
+        ("(2;0,2)+", "(1,1;2)-", 1, "C"), ("(1,1;2)-", "(1;0,1)+", 1, "A"),
+        ("(1,1;2)-", "(2;2,0)+", 1, "C"),
+    ]
+    assert [len(diamond_arrows(l)) for l in range(1, 6)] == [1, 11, 27, 49, 77]
+
+
 def test_sigma_tilde_rows():
     # f_{(2;1,1)} = 2 e_1 - e_{-2}, torus part (1,1)
     assert sigma_tilde_row(V(1, 2, 1, 1), 2) == (0, -1, 2, 0, 1, 1)

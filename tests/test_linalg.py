@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from kronquiver.linalg import (INFEASIBLE, OPTIMAL, UNBOUNDED, det_frac, dot,
-                               identity, inverse, mat_mul, rank, solve_lp)
+                               identity, inverse, mat_mul, propagate_box, rank,
+                               solve_integer_system, solve_lp)
 
 
 def laplace_det(m):
@@ -169,3 +170,70 @@ def test_rank():
     assert rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
     assert rank([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == 2
     assert rank(identity(4)) == 4
+
+
+# ---------------------------------------------------------------------------
+# propagate_box and solve_integer_system against brute force.
+
+def test_propagate_box_never_cuts_off_an_integer_solution():
+    rng = random.Random(11)
+    pruned = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-4, 4))
+                for _ in range(rng.randint(1, 4))]
+        # The brute-force box; a side given as None is open, so the points
+        # checked are some of the solutions, never outside them.
+        lo = [rng.randint(-4, 0) for _ in range(n)]
+        hi = [rng.randint(0, 4) for _ in range(n)]
+        given_lo = [None if rng.random() < 0.3 else v for v in lo]
+        given_hi = [None if rng.random() < 0.3 else v for v in hi]
+        points = [x for x in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+                  if all(dot(a, x) >= r for a, r in rows)]
+        for max_rounds in (None, 1, 6):
+            box = propagate_box(rows, given_lo, given_hi, max_rounds=max_rounds)
+            if box is None:
+                assert points == [], (rows, given_lo, given_hi)
+                pruned += max_rounds is None
+                continue
+            new_lo, new_hi = box
+            for x in points:
+                assert all(b is None or b <= v for b, v in zip(new_lo, x))
+                assert all(b is None or v <= b for b, v in zip(new_hi, x))
+    assert pruned > 20
+
+
+def test_propagate_box_tightens_a_copy():
+    lower, upper = [0, 0], [3, 3]
+    assert propagate_box([((1, -1), 1)], lower, upper) == ([1, 0], [3, 2])
+    assert (lower, upper) == ([0, 0], [3, 3])
+
+
+def test_solve_integer_system_solves_or_proves_no_solution():
+    rng = random.Random(17)
+    solved = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            rhs = [dot(row, x) for row in rows]
+        else:
+            rhs = [rng.randint(-4, 4) for _ in rows]
+        x0 = solve_integer_system(rows, rhs)
+        if x0 is None:
+            # Brute force over a box finds no solution either.
+            assert not any(all(dot(row, x) == b for row, b in zip(rows, rhs))
+                           for x in product(range(-6, 7), repeat=n)), (rows, rhs)
+        else:
+            assert len(x0) == n and all(isinstance(v, int) for v in x0)
+            assert [dot(row, x0) for row in rows] == rhs
+            solved += 1
+    assert solved > 100
+
+
+def test_solve_integer_system_small_cases():
+    assert solve_integer_system([[2]], [1]) is None
+    assert solve_integer_system([[1, 1], [1, 1]], [1, 2]) is None
+    x0 = solve_integer_system([[2, 4], [1, -1]], [6, 0])
+    assert x0 == (1, 1)
