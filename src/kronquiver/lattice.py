@@ -3,22 +3,19 @@ integer inequality rows a.g >= 0 plus equality rows a.g = b.
 
 One scan, ``_scan``: a Hermite-style integer solve certifies that the equality
 lattice has a point; interval propagation over every constraint, written as
-one-sided rows, bounds what it can of the coordinate box, and ``_lp_box``, the
-module's only exact LP, bounds the rest; a depth-first scan with per-node
-propagation then keeps each leaf that meets the raw rows in integer
-arithmetic.  ``diagnose`` is ``_lp_box`` on a box with no side known.  No
-floating point anywhere.
+one-sided rows, bounds what it can of the coordinate box, and exact LP
+(``linalg.lp_box``, idle when propagation closed the box) bounds the rest; a
+depth-first scan with per-node propagation then keeps each leaf that meets
+the raw rows in integer arithmetic.  ``diagnose`` is ``lp_box`` on a box with
+every side open.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 
 from . import linalg
-from .linalg import INFEASIBLE, OPTIMAL, UNBOUNDED
-
-BOUNDED = "bounded"
+from .linalg import BOUNDED, INFEASIBLE, UNBOUNDED
 
 
 class SectionError(Exception):
@@ -79,41 +76,22 @@ class LatticePointSet:
 
 
 def diagnose(section: PolytopeSection) -> str:
-    """Status of the rational relaxation: bounded, unbounded, or infeasible.
-
-    The section is bounded exactly when every coordinate has a finite min and
-    max, so this is ``_lp_box`` on a box with no side known.
-    """
-    return _lp_box(section, [None] * section.dim, [None] * section.dim)
-
-
-def _lp_box(section: PolytopeSection, lo, hi) -> str:
-    """Fill each None side of the box ``lo``/``hi`` with the exact LP optimum
-    of its coordinate, rounded inward; sides go coordinate by coordinate, min
-    before max.  Returns the first status that is not optimal, with the sides
-    from that one on left None, or BOUNDED."""
-    eq_rows = [a for a, _ in section.equalities]
-    eq_rhs = [b for _, b in section.equalities]
-    for i in range(section.dim):
-        objective = [int(j == i) for j in range(section.dim)]
-        for sense, side, inward in (("min", lo, math.ceil), ("max", hi, math.floor)):
-            if side[i] is None:
-                res = linalg.solve_lp(objective, section.ineqs, [0] * len(section.ineqs),
-                                      eq_rows, eq_rhs, sense=sense)
-                if res.status != OPTIMAL:
-                    return res.status
-                side[i] = inward(res.value)
-    return BOUNDED
+    """Status of the rational relaxation: bounded, unbounded, or infeasible;
+    ``linalg.lp_box`` on a box with every side open, since the section is
+    bounded exactly when every coordinate has a finite min and max."""
+    eqs = section.equalities
+    return linalg.lp_box(section.ineqs, [0] * len(section.ineqs), [a for a, _ in eqs],
+                         [b for _, b in eqs], [None] * section.dim, [None] * section.dim)
 
 
 def _scan(section: PolytopeSection) -> list:
     """Integer points of the section in scan order.  Raises SectionError on an
     unbounded section."""
-    if section.equalities:
-        # Certify integer solvability of the equality lattice before scanning.
-        if linalg.solve_integer_system([a for a, _ in section.equalities],
-                                       [b for _, b in section.equalities]) is None:
-            return []
+    eq_rows = [a for a, _ in section.equalities]
+    eq_rhs = [b for _, b in section.equalities]
+    # Certify integer solvability of the equality lattice before scanning.
+    if eq_rows and linalg.solve_integer_system(eq_rows, eq_rhs) is None:
+        return []
     # Every constraint as a one-sided row a.g >= r.
     rows = [(a, 0) for a in section.ineqs]
     for a, b in section.equalities:
@@ -122,7 +100,7 @@ def _scan(section: PolytopeSection) -> list:
     if box is None:
         return []
     lo, hi = box
-    status = _lp_box(section, lo, hi)
+    status = linalg.lp_box(section.ineqs, [0] * len(section.ineqs), eq_rows, eq_rhs, lo, hi)
     if status == INFEASIBLE:
         return []
     if status == UNBOUNDED:
@@ -158,11 +136,7 @@ def enumerate_points(section: PolytopeSection) -> LatticePointSet:
     Raises SectionError when the rational relaxation is unbounded; an
     infeasible or integer-empty section yields the empty set.
     """
-    points = _scan(section)
-    for g in points:
-        if not section.contains(g):
-            raise AssertionError(f"scan produced a non-member point {g}")
-    return LatticePointSet(points)
+    return LatticePointSet(_scan(section))
 
 
 def count_points(section: PolytopeSection) -> int:
@@ -191,6 +165,8 @@ def section_to_hrep(section: PolytopeSection, comment=None, tags=None) -> str:
 
 
 def parse_hrep(text: str) -> PolytopeSection:
+    """Read the text ``section_to_hrep`` writes; a missing row, a bad or
+    negative count, or rows after the ``eq`` block raise ValueError."""
     tokens = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -198,25 +174,35 @@ def parse_hrep(text: str) -> PolytopeSection:
             tokens.append(line.split())
     it = iter(tokens)
 
+    def take(what):
+        row = next(it, None)
+        if row is None:
+            raise ValueError(f"input ends where {what} was expected")
+        return row
+
     def expect(keyword):
-        row = next(it)
+        row = take(f"'{keyword}'")
         if row[0] != keyword:
             raise ValueError(f"expected '{keyword}', got {row[0]!r}")
+        if len(row) != 2 or int(row[1]) < 0:
+            raise ValueError(f"'{keyword}' takes one nonnegative count")
         return int(row[1])
 
     dim = expect("dim")
     nineq = expect("ineq")
     ineqs = []
     for _ in range(nineq):
-        row = [int(x) for x in next(it)]
+        row = [int(x) for x in take("an inequality row")]
         if len(row) != dim:
             raise ValueError("inequality row has wrong width")
         ineqs.append(tuple(row))
     neq = expect("eq")
     eqs = []
     for _ in range(neq):
-        row = [int(x) for x in next(it)]
+        row = [int(x) for x in take("an equality row")]
         if len(row) != dim + 1:
             raise ValueError("equality row has wrong width")
         eqs.append((tuple(row[:-1]), row[-1]))
+    if next(it, None) is not None:
+        raise ValueError("rows left over after the declared eq block")
     return PolytopeSection(dim, ineqs, eqs)

@@ -1,17 +1,19 @@
 """Exact rational linear algebra: Fraction determinant, inverse and rank,
-integer lattice solving, interval propagation, and a two-phase simplex over
-the rationals.
+integer lattice solving, interval propagation and LP bounds for integer
+boxes, and a two-phase simplex over the rationals.
 
 This is the package's one home for Fraction elimination: ``rank``,
 ``inverse`` and both simplex phases are built on the Gauss-Jordan step
-``_pivot``, and ``det_frac`` eliminates forward only.  ``solve_integer_system``
-uses unimodular integer column operations instead.  No floating point is used
-anywhere; every routine is exact.
+``_pivot``, and ``det_frac`` eliminates forward only; ``lp_box`` prices every
+objective into one phase 1 tableau.  ``solve_integer_system`` uses unimodular
+integer column operations instead.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def dot(a, b):
@@ -171,7 +173,8 @@ def solve_integer_system(eq_rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Interval propagation over integer boxes.  Bounds are ints or None (=inf).
+# Integer boxes: interval propagation and exact LP bounds.  Bounds are ints
+# or None (=inf).
 
 def propagate_box(rows, lower, upper, max_rounds=None):
     """Tighten per-variable integer bounds against rows ``a . x >= r``.
@@ -236,24 +239,41 @@ def propagate_box(rows, lower, upper, max_rounds=None):
     return lo, hi
 
 
+def lp_box(ge_rows, ge_rhs, eq_rows, eq_rhs, lo, hi):
+    """Fill each None side of the box ``lo``/``hi``, in place, with the exact
+    optimum of its coordinate over the rows, rounded inward, coordinate by
+    coordinate and min before max.  Returns the first status that is not
+    optimal, leaving the sides from it on None, or BOUNDED.  One phase 1
+    serves every side, and a box with no None side costs no LP."""
+    if None not in lo and None not in hi:
+        return BOUNDED
+    feasible = _phase1(len(lo), ge_rows, ge_rhs, eq_rows, eq_rhs)
+    if feasible is None:
+        return INFEASIBLE
+    for i in range(len(lo)):
+        objective = [int(j == i) for j in range(len(lo))]
+        for sense, side, inward in (("min", lo, math.ceil), ("max", hi, math.floor)):
+            if side[i] is None:
+                res = _phase2(*feasible, objective, sense)
+                if res.status != OPTIMAL:
+                    return res.status
+                side[i] = inward(res.value)
+    return BOUNDED
+
+
 # ---------------------------------------------------------------------------
 # Exact LP: two-phase simplex with Bland's rule, free variables.
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+BOUNDED = "bounded"
 
 
-class LPResult:
-    __slots__ = ("status", "value", "point")
-
-    def __init__(self, status, value=None, point=None):
-        self.status = status
-        self.value = value
-        self.point = point
-
-    def __repr__(self):
-        return f"LPResult({self.status}, {self.value})"
+class LPResult(NamedTuple):
+    status: str
+    value: Fraction | None = None
+    point: tuple | None = None
 
 
 def _simplex(t, basis, first, stop):
@@ -266,45 +286,28 @@ def _simplex(t, basis, first, stop):
         enter = next((j for j in range(first, stop) if obj[j] < 0), None)
         if enter is None:
             return OPTIMAL
-        leave = None
-        best = None
-        for i in range(len(basis)):
-            a = t[i][enter]
-            if a > 0 and basis[i] >= first:
-                ratio = t[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
+        # Least ratio, ties to the least basic column (Bland).
+        ratios = [(t[i][-1] / t[i][enter], basis[i], i) for i in range(len(basis))
+                  if t[i][enter] > 0 and basis[i] >= first]
+        if not ratios:
             return UNBOUNDED
+        leave = min(ratios)[2]
         _pivot(t, leave, enter)
         basis[leave] = enter
 
 
-def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
-    """Exact LP over free rational variables.
-
-    Constraints: ``ge_rows . x >= ge_rhs`` and ``eq_rows . x = eq_rhs``.
-    Returns an LPResult; ``point`` is a tuple of Fractions when optimal.
-
-    Tableau columns: the n free variables, one surplus per >= row, then one
-    artificial per row that no free variable was pivoted into.  The phase-2
-    objective rides along as a row from the start, so every pivot keeps it
-    priced out.
-    """
-    n = len(objective)
+def _phase1(n, ge_rows, ge_rhs, eq_rows, eq_rhs):
+    """Phase 1 on ``ge_rows . x >= ge_rhs`` and ``eq_rows . x = eq_rhs`` in n
+    free variables.  Returns the constraint rows of a feasible tableau, their
+    basis and the first artificial column, or None when infeasible.  Columns:
+    the free variables, one surplus per >= row, then one artificial per row
+    that no free variable was pivoted into."""
     ge = list(zip(ge_rows, ge_rhs))
     rows = ge + list(zip(eq_rows, eq_rhs))
     m = len(rows)
     width = n + len(ge)
-    t = []
-    for i, (coeffs, b) in enumerate(rows):
-        row = [Fraction(v) for v in coeffs] + [Fraction(0)] * len(ge) + [Fraction(b)]
-        if i < len(ge):
-            row[n + i] = Fraction(-1)
-        t.append(row)
-    sign = -1 if sense == "max" else 1
-    t.append([sign * Fraction(c) for c in objective] + [Fraction(0)] * (len(ge) + 1))
+    t = [[Fraction(v) for v in coeffs] + [Fraction(-(i == k)) for k in range(len(ge))]
+         + [Fraction(b)] for i, (coeffs, b) in enumerate(rows)]
 
     # Pivot every free variable into the basis.  Its column is then zero in
     # every other row, so the rows left over constrain the surplus columns
@@ -317,11 +320,11 @@ def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
             basis[r] = j
     rest = [i for i in range(m) if basis[i] is None]
     for i, row in enumerate(t):
-        if i < m and basis[i] is None and row[-1] < 0:
+        if basis[i] is None and row[-1] < 0:
             row = [-v for v in row]
         t[i] = row[:-1] + [Fraction(0)] * len(rest) + row[-1:]
 
-    # Phase 1: minimize the sum of artificials, starting from them as basis.
+    # Minimize the sum of artificials, starting from them as basis.
     stop = width + len(rest)
     t.append([Fraction(0)] * width + [Fraction(1)] * len(rest) + [Fraction(0)])
     for k, i in enumerate(rest):
@@ -330,7 +333,7 @@ def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
         basis[i] = width + k
     _simplex(t, basis, n, stop)
     if t.pop()[-1] != 0:
-        return LPResult(INFEASIBLE)
+        return None
 
     # Drive leftover artificials out of the basis where possible.
     for i in rest:
@@ -339,22 +342,40 @@ def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
             if enter is not None:
                 _pivot(t, i, enter)
                 basis[i] = enter
+    return t, basis, width
 
-    # Phase 2.  A nonbasic free column touches only the free rows, so a
-    # nonzero reduced cost there moves the objective without bound.
-    # Artificial columns stay out: pricing stops at ``width``.
-    if any(t[-1][:n]) or _simplex(t, basis, n, width) == UNBOUNDED:
+
+def _phase2(t, basis, width, objective, sense):
+    """Optimize one objective over a ``_phase1`` tableau, priced into a shallow
+    copy; the tableau stays reusable because ``_pivot`` replaces rows and
+    never edits them."""
+    n = len(objective)
+    obj = [Fraction(-c if sense == "max" else c) for c in objective]
+    obj += [Fraction(0)] * (len(t[0]) - n if t else 1)
+    for row, j in zip(t, basis):
+        f = obj[j]
+        if f:
+            obj = [a - f * b for a, b in zip(obj, row)]
+    t, basis = t + [obj], basis[:]
+
+    # A nonbasic free column touches only the free rows, so a nonzero reduced
+    # cost there moves the objective without bound.  Artificial columns stay
+    # out: pricing stops at ``width``.
+    if any(obj[:n]) or _simplex(t, basis, n, width) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    point = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            point[basis[i]] = t[i][-1]
-    value = sum(Fraction(c) * x for c, x in zip(objective, point))
-    return LPResult(OPTIMAL, value, tuple(point))
+    basic = {j: row[-1] for row, j in zip(t, basis)}
+    point = [basic.get(j, Fraction(0)) for j in range(n)]
+    return LPResult(OPTIMAL, dot(objective, point), tuple(point))
+
+
+def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
+    """Exact LP over free rational variables with ``ge_rows . x >= ge_rhs`` and
+    ``eq_rows . x = eq_rhs``; ``point`` is a tuple of Fractions when optimal."""
+    feasible = _phase1(len(objective), ge_rows, ge_rhs, eq_rows, eq_rhs)
+    return LPResult(INFEASIBLE) if feasible is None else _phase2(*feasible, objective, sense)
 
 
 def lp_feasible(ge_rows, ge_rhs, eq_rows=(), eq_rhs=()):
     """Exact feasibility of a mixed >=/= rational system (phase 1 only)."""
     n = len(ge_rows[0]) if ge_rows else (len(eq_rows[0]) if eq_rows else 0)
-    res = solve_lp([0] * n, ge_rows, ge_rhs, eq_rows, eq_rhs)
-    return res.status != INFEASIBLE
+    return _phase1(n, ge_rows, ge_rhs, eq_rows, eq_rhs) is not None

@@ -12,6 +12,7 @@ presentation is written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -294,16 +295,14 @@ def verify_exchange(l, trials=50, seed=0) -> VerifyReport:
     report = VerifyReport("exchange", trials)
     for t in range(trials):
         m = random_flag_rep(l, rng)
+        # Each vertex's semi-invariant once per trial; the relations share them.
+        values = {v: s_value(v, m) for v in quiver.vertices}
+        values[_EMPTY] = Fraction(1)
         for u in quiver.mutable_vertices:
             term1, term2 = exchange_terms(u)
-            lhs = s_value(u, m) * s_prime_value(u, m)
-            rhs = Fraction(1)
-            for v in term1:
-                rhs *= s_value(v, m)
-            prod2 = Fraction(1)
-            for v in term2:
-                prod2 *= s_value(v, m)
-            rhs += prod2
+            lhs = values[u] * s_prime_value(u, m)
+            rhs = math.prod((values[v] for v in term1), start=Fraction(1))
+            rhs += math.prod((values[v] for v in term2), start=Fraction(1))
             report.checks += 1
             if lhs != rhs:
                 report.failures.append({

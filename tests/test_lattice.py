@@ -171,3 +171,47 @@ def test_parse_hrep_errors():
         parse_hrep("dim 2\nineq 1\n1 2 3\neq 0\n")
     with pytest.raises(ValueError):
         parse_hrep("ineq 1\n1 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nineq 1\n1 0\n", "input ends where 'eq' was expected"),
+    ("dim 2\nineq 2\n1 0\n", "input ends where an inequality row was expected"),
+    ("", "input ends where 'dim' was expected"),
+])
+def test_parse_hrep_truncated_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_hrep(text)
+
+
+def test_parse_hrep_keyword_without_count():
+    with pytest.raises(ValueError, match="'dim' takes one nonnegative count"):
+        parse_hrep("dim\n")
+
+
+def test_parse_hrep_negative_count():
+    with pytest.raises(ValueError, match="'ineq' takes one nonnegative count"):
+        parse_hrep("dim 2\nineq -1\neq 0\n")
+
+
+def test_parse_hrep_rows_after_the_eq_block():
+    with pytest.raises(ValueError, match="rows left over after the declared eq block"):
+        parse_hrep("dim 2\nineq 0\neq 1\n1 1 2\n1 -1 0\n")
+
+
+def test_closed_root_box_runs_no_lp(monkeypatch):
+    # Propagation closes the root box of these engine sections, so counting
+    # them must not reach exact LP.
+    sections = [section_for(partitions_to_weight(Partition(mu), Partition(nu), l), lam)
+                for mu, nu, l, lam in [((2, 1), (2, 1), 2, None), ((4, 1), (3, 2), 2, None),
+                                       ((3, 2, 1), (2, 2, 2), 3, None),
+                                       ((3, 2, 1), (2, 2, 2), 3, LambdaWeight(4, 2)),
+                                       ((2, 2, 1), (3, 1, 1), 3, LambdaWeight(3, 2))]]
+    counts = [count_points(s) for s in sections]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("exact LP ran")
+
+    monkeypatch.setattr(linalg, "_phase1", no_lp)
+    monkeypatch.setattr(linalg, "solve_lp", no_lp)
+    assert [count_points(s) for s in sections] == counts
+    assert counts[0] > 0 and counts[2] > 0

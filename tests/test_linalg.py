@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from kronquiver.linalg import (INFEASIBLE, OPTIMAL, UNBOUNDED, det_frac, dot,
-                               identity, inverse, mat_mul, propagate_box, rank,
+from kronquiver import linalg
+from kronquiver.linalg import (BOUNDED, INFEASIBLE, OPTIMAL, UNBOUNDED, det_frac,
+                               dot, identity, inverse, lp_box, lp_feasible,
+                               mat_mul, propagate_box, rank,
                                solve_integer_system, solve_lp)
 
 
@@ -113,6 +116,61 @@ def test_random_bounded_lps_match_the_best_vertex():
             assert all(dot(r, res.point) == h for r, h in zip(eq, eq_rhs))
         seen[res.status] += 1
     assert min(seen.values()) > 10, seen
+
+
+# ---------------------------------------------------------------------------
+# lp_box: one phase 1 per call, the same box as one solve_lp per side.
+
+def box_by_solve_lp(ge, ge_rhs, eq, eq_rhs, lo, hi):
+    """Reference: fill the open sides with one full solve_lp each."""
+    for i in range(len(lo)):
+        objective = [int(j == i) for j in range(len(lo))]
+        for sense, side, inward in (("min", lo, math.ceil), ("max", hi, math.floor)):
+            if side[i] is None:
+                res = solve_lp(objective, ge, ge_rhs, eq, eq_rhs, sense=sense)
+                if res.status != OPTIMAL:
+                    return res.status
+                side[i] = inward(res.value)
+    return BOUNDED
+
+
+def test_lp_box_matches_one_solve_lp_per_side(monkeypatch):
+    calls = []
+    phase1 = linalg._phase1
+    monkeypatch.setattr(linalg, "_phase1", lambda *a: calls.append(a) or phase1(*a))
+    rng = random.Random(23)
+    seen = {BOUNDED: 0, UNBOUNDED: 0, INFEASIBLE: 0}
+    no_rows = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        ge = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        ge_rhs = [rng.randint(-4, 3) for _ in ge]
+        eq = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.choice([0, 0, 1, 2]))]
+        eq_rhs = [rng.randint(-3, 3) for _ in eq]
+        no_rows += not ge and not eq
+        # Some sides already filled, as propagation leaves them.
+        lo = [None if rng.random() < 0.7 else rng.randint(-3, 0) for _ in range(n)]
+        hi = [None if rng.random() < 0.7 else rng.randint(0, 3) for _ in range(n)]
+        closed = None not in lo + hi
+        want_lo, want_hi = list(lo), list(hi)
+        want = box_by_solve_lp(ge, ge_rhs, eq, eq_rhs, want_lo, want_hi)
+        calls.clear()
+        status = lp_box(ge, ge_rhs, eq, eq_rhs, lo, hi)
+        assert (status, lo, hi) == (want, want_lo, want_hi), (ge, ge_rhs, eq, eq_rhs)
+        assert len(calls) == (0 if closed else 1)
+        seen[status] += 1
+    assert min(seen.values()) > 30 and no_rows > 10, (seen, no_rows)
+
+
+def test_lp_feasible_runs_phase_1_alone(monkeypatch):
+    def no_phase2(*args):
+        raise AssertionError("phase 2 ran")
+
+    monkeypatch.setattr(linalg, "_phase2", no_phase2)
+    assert lp_feasible([[1, 0], [0, 1]], [1, 1]) is True
+    assert lp_feasible([[1, 0], [-1, 0]], [1, 0]) is False
+    assert lp_feasible([], [], [[1, 1], [2, 2]], [1, 3]) is False
+    assert lp_feasible([], []) is True
 
 
 # ---------------------------------------------------------------------------
