@@ -78,7 +78,7 @@ def _vertex_lines(l):
 def cmd_coeff(args):
     mu, nu, lam = _partition(args.mu), _partition(args.nu), _partition(args.lam)
     try:
-        query = engine.KroneckerQuery.create(mu, nu, lam, args.l or "auto")
+        query = engine.KroneckerQuery.create(mu, nu, lam, args.l)
         report = engine.kronecker(query, args.method)
     except (ValueError, SectionError) as exc:
         raise CliError(EXIT_INVARIANT, str(exc))

@@ -58,10 +58,7 @@ class IceQuiver:
 
     def b_matrix(self):
         """Rows over mutable vertices, columns over all vertices."""
-        return [
-            [self.arrow_count(u, v) - self.arrow_count(v, u) for v in self.vertices]
-            for u in self.mutable_vertices
-        ]
+        return [self.b_row(u) for u in self.mutable_vertices]
 
     def b_row(self, u):
         if not self.is_mutable(u):
@@ -70,37 +67,23 @@ class IceQuiver:
 
     def mutate(self, u) -> "IceQuiver":
         """Quiver mutation at a mutable vertex: compose through u, reverse
-        arrows at u, then cancel oriented 2-cycles."""
+        arrows at u, then cancel oriented 2-cycles (the constructor cancels
+        those touching a mutable vertex and keeps frozen-frozen arrows)."""
         if not self.is_mutable(u):
             raise ValueError(f"cannot mutate at frozen vertex {u}")
         counts = Counter(self.arrows)
         for (v, cin) in self.incoming(u):
             for (w, cout) in self.outgoing(u):
-                if v == w:
-                    continue
-                if not self.is_mutable(v) and not self.is_mutable(w):
-                    continue
-                counts[(v, w)] += cin * cout
+                if v != w and (self.is_mutable(v) or self.is_mutable(w)):
+                    counts[(v, w)] += cin * cout
         for (v, c) in self.incoming(u):
             counts[(v, u)] -= c
             counts[(u, v)] += c
         for (w, c) in self.outgoing(u):
-            if w != u:
-                counts[(u, w)] -= c
-                counts[(w, u)] += c
-        for (a, b) in list(counts):
-            if counts[(a, b)] > 0 and counts.get((b, a), 0) > 0:
-                m = min(counts[(a, b)], counts[(b, a)])
-                counts[(a, b)] -= m
-                counts[(b, a)] -= m
+            counts[(u, w)] -= c
+            counts[(w, u)] += c
         arrows = [(a, b, c) for (a, b), c in counts.items() if c > 0]
-        q = IceQuiver.__new__(IceQuiver)
-        q.vertices = self.vertices
-        q.num_mutable = self.num_mutable
-        q.index = self.index
-        q.labels = self.labels
-        q.arrows = Counter({(a, b): c for (a, b, c) in arrows})
-        return q
+        return IceQuiver(self.vertices, self.num_mutable, arrows, self.labels)
 
     def to_json_dict(self):
         arrows = []

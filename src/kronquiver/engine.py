@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import symfunc
-from .diamond import build_diamond, cone_inequalities, sigma_tilde_row
+from .diamond import cone_inequalities, sigma_tilde_row
 from .lattice import PolytopeSection, count_points, enumerate_points
 from .partitions import (LambdaWeight, Partition, Weight, lambda_omega,
                          partitions_of, partitions_to_weight)
@@ -34,8 +34,8 @@ class KroneckerQuery:
             raise ValueError(f"mu and nu must have at most l={self.l} rows")
 
     @classmethod
-    def create(cls, mu, nu, lam, l="auto"):
-        if l == "auto" or l is None:
+    def create(cls, mu, nu, lam, l=None):
+        if l is None:
             l = max(mu.length, nu.length, 1)
         return cls(mu, nu, lam, int(l))
 
@@ -145,7 +145,7 @@ def truncated_product(mu: Partition, nu: Partition, l=None) -> symfunc.SchurExpa
     the multiset of torus weights into a Schur expansion."""
     if mu.size != nu.size:
         raise ValueError("partitions must have equal size")
-    if l is None or l == "auto":
+    if l is None:
         l = max(mu.length, nu.length, 1)
     sigma = partitions_to_weight(mu, nu, l)
     points = enumerate_points(section_for(sigma))
@@ -191,7 +191,7 @@ class CrossValidationReport:
 
 
 def _validate_pair(args):
-    mu_parts, nu_parts, n, l_cap = args
+    mu_parts, nu_parts, n = args
     mu = Partition(mu_parts)
     nu = Partition(nu_parts)
     out = []
@@ -211,7 +211,7 @@ def cross_validate(n_max: int, l_max: int, jobs: int = 1) -> CrossValidationRepo
     for n in range(0, n_max + 1):
         for mu in partitions_of(n, max_length=l_max):
             for nu in partitions_of(n, max_length=l_max):
-                pairs.append((mu.parts, nu.parts, n, l_max))
+                pairs.append((mu.parts, nu.parts, n))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,5 +1,8 @@
 """Unimodular fans with geometric-series Hilbert sums, and the totally
 unimodular comparison map from the diamond cone onto the hexagon cone.
+
+Hexagon vectors are cell dictionaries (a missing cell is 0).  They are made
+dense over ``hex_vertices(l)`` only for matrices and H-representations.
 """
 
 from __future__ import annotations
@@ -113,18 +116,25 @@ class HilbertSeries:
 
     def equals(self, other: "HilbertSeries") -> bool:
         """Equality as rational functions, by cross multiplication."""
-        nvars = self.numerator.nvars
-        lhs = self.numerator
-        for w, c in sorted(other.denominator.items()):
-            factor = LaurentPoly.constant(nvars, 1) - LaurentPoly.monomial(nvars, w)
-            for _ in range(c):
-                lhs = lhs * factor
-        rhs = other.numerator
-        for w, c in sorted(self.denominator.items()):
-            factor = LaurentPoly.constant(nvars, 1) - LaurentPoly.monomial(nvars, w)
-            for _ in range(c):
-                rhs = rhs * factor
-        return lhs == rhs
+        return _times_binomials(self.numerator, sorted(other.denominator.elements())) == \
+            _times_binomials(other.numerator, sorted(self.denominator.elements()))
+
+
+def _times_binomials(poly: LaurentPoly, ws) -> LaurentPoly:
+    """poly * prod (1 - z^w) over the vectors ``ws``, in order."""
+    one = LaurentPoly.constant(poly.nvars, 1)
+    for w in ws:
+        poly = poly * (one - LaurentPoly.monomial(poly.nvars, w))
+    return poly
+
+
+def _signed_faces(fan: UnimodularFan):
+    """Inclusion-exclusion over the maximal cones: (sign, common face) for
+    each nonempty set of cones, with sign +1 on odd sets and -1 on even ones."""
+    cones = [set(cone) for cone in fan.cones]
+    for size in range(1, len(cones) + 1):
+        for subset in combinations(cones, size):
+            yield (1 if size % 2 else -1), set.intersection(*subset)
 
 
 def fan_hilbert(fan: UnimodularFan) -> HilbertSeries:
@@ -134,20 +144,11 @@ def fan_hilbert(fan: UnimodularFan) -> HilbertSeries:
     if not ok:
         raise ValueError("not a unimodular fan: " + "; ".join(issues))
     allgens = fan.generators
-    nvars = fan.dim
-    one = LaurentPoly.constant(nvars, 1)
-    numerator = LaurentPoly.zero(nvars)
-    ncones = len(fan.cones)
-    for size in range(1, ncones + 1):
-        for subset in combinations(range(ncones), size):
-            face = set(fan.cones[subset[0]])
-            for i in subset[1:]:
-                face &= set(fan.cones[i])
-            term = one
-            for g in allgens:
-                if g not in face:
-                    term = term * (one - LaurentPoly.monomial(nvars, g))
-            numerator = numerator + term if size % 2 else numerator - term
+    one = LaurentPoly.constant(fan.dim, 1)
+    numerator = LaurentPoly.zero(fan.dim)
+    for sign, face in _signed_faces(fan):
+        term = _times_binomials(one, [g for g in allgens if g not in face])
+        numerator = numerator + sign * term
     return HilbertSeries(numerator, Counter(allgens)).canonical()
 
 
@@ -161,26 +162,21 @@ def fan_slice_count(fan: UnimodularFan, gen_weight, target,
     supply a strictly positive grading (with its target value) that keeps the
     combination search finite without LP calls.
     """
-    ncones = len(fan.cones)
     total = 0
-    for size in range(1, ncones + 1):
-        for subset in combinations(range(ncones), size):
-            face = set(fan.cones[subset[0]])
-            for i in subset[1:]:
-                face &= set(fan.cones[i])
-            gens = sorted(face)
-            if not gens:
-                count = 1 if all(t == 0 for t in target) else 0
-            else:
-                d = len(gens)
-                ineqs = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-                weights = [gen_weight(g) for g in gens]
-                eqs = [(tuple(w[c] for w in weights), target[c])
-                       for c in range(len(target))]
-                if gen_positive is not None:
-                    eqs.append((tuple(gen_positive(g) for g in gens), target_positive))
-                count = count_points(PolytopeSection(d, ineqs, eqs))
-            total += count if size % 2 else -count
+    for sign, face in _signed_faces(fan):
+        gens = sorted(face)
+        if not gens:
+            count = 1 if all(t == 0 for t in target) else 0
+        else:
+            d = len(gens)
+            ineqs = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+            weights = [gen_weight(g) for g in gens]
+            eqs = [(tuple(w[c] for w in weights), target[c])
+                   for c in range(len(target))]
+            if gen_positive is not None:
+                eqs.append((tuple(gen_positive(g) for g in gens), target_positive))
+            count = count_points(PolytopeSection(d, ineqs, eqs))
+        total += sign * count
     return total
 
 
@@ -222,20 +218,36 @@ def hex_rows(l: int):
         for m in range(2 * l - j):
             add([(-j, l - n) for n in range(m + 1)], f"f3a j={j} m={m}")
             add([(n - l, j) for n in range(m + 1)], f"f3b j={j} m={m}")
-    verts = set(hex_vertices(l))
-    for coeffs, tag in rows:
-        stray = [c for c in coeffs if c not in verts]
-        if stray:
-            raise AssertionError(f"row {tag} references {stray} outside the hexagon")
     return rows
 
 
-def hex_membership(l: int, h) -> bool:
-    """Whether a vector indexed by the hexagon vertices satisfies all the
-    defining inequalities."""
-    hv = _as_hex_dict(l, h)
+def _dense(l: int, coeffs: dict, what: str) -> tuple:
+    """A cell dictionary as a vector over ``hex_vertices(l)``."""
+    col = {cell: i for i, cell in enumerate(hex_vertices(l))}
+    stray = [c for c in coeffs if c not in col]
+    if stray:
+        raise AssertionError(f"{what} references {stray} outside the hexagon")
+    row = [0] * len(col)
+    for cell, c in coeffs.items():
+        row[col[cell]] = c
+    return tuple(row)
+
+
+def _combine(terms) -> dict:
+    """Sum of scale * vector over (scale, cell dictionary) pairs, without the
+    zero entries."""
+    out = Counter()
+    for scale, vec in terms:
+        for key, c in vec.items():
+            out[key] += scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def hex_membership(l: int, h: dict) -> bool:
+    """Whether a hexagon cell dictionary satisfies all the defining
+    inequalities."""
     for coeffs, _tag in hex_rows(l):
-        if sum(c * hv.get(cell, 0) for cell, c in coeffs.items()) < 0:
+        if sum(c * h.get(cell, 0) for cell, c in coeffs.items()) < 0:
             return False
     return True
 
@@ -251,14 +263,7 @@ class HexSystem:
         self.dim = len(self.vertices)
 
     def row_vectors(self):
-        col = {cell: i for i, cell in enumerate(self.vertices)}
-        out = []
-        for coeffs, tag in self.rows:
-            row = [0] * self.dim
-            for cell, c in coeffs.items():
-                row[col[cell]] = c
-            out.append((tuple(row), tag))
-        return out
+        return [(_dense(self.l, coeffs, f"row {tag}"), tag) for coeffs, tag in self.rows]
 
     def to_hrep(self) -> str:
         rows = self.row_vectors()
@@ -268,67 +273,28 @@ class HexSystem:
                                [tag for _r, tag in rows])
 
 
-def _as_hex_dict(l, h):
-    if isinstance(h, dict):
-        return h
-    verts = hex_vertices(l)
-    if len(h) != len(verts):
-        raise ValueError(f"expected {len(verts)} hexagon coordinates")
-    return {v: x for v, x in zip(verts, h)}
-
-
 def phi_vertex(l: int, v: DiamondVertex) -> dict:
     """Image of a diamond unit vector as a hexagon coefficient dictionary."""
-    out = Counter()
-
-    def bump(cell, amount):
-        if cell == (0, 0):
-            return
-        out[cell] += amount
-
     if v.sign == 1 and v.j == l:  # the (l;l,0) corner
-        bump((-l, l), 1)
+        units = [((-l, l), 1)]
     elif v.sign == 1:
-        bump((v.k, -v.i), 1)
-        bump((-v.j, v.j), 1)
-        bump((v.j, 0), 1)
-        bump((-v.j, 0), -1)
-        bump((0, v.j), -1)
+        units = [((v.k, -v.i), 1), ((-v.j, v.j), 1), ((v.j, 0), 1),
+                 ((-v.j, 0), -1), ((0, v.j), -1)]
     else:
-        bump((v.i, -v.k), 1)
-        bump((-v.j, v.j), 1)
-        bump((0, -v.j), 1)
-        bump((-v.j, 0), -1)
-        bump((0, v.j), -1)
-    return {cell: c for cell, c in out.items() if c}
+        units = [((v.i, -v.k), 1), ((-v.j, v.j), 1), ((0, -v.j), 1),
+                 ((-v.j, 0), -1), ((0, v.j), -1)]
+    return _combine((c, {cell: 1}) for cell, c in units if cell != (0, 0))
 
 
 def phi_matrix(l: int):
     """Matrix of the comparison map: one row per diamond vertex (canonical
     order), one column per hexagon vertex (sorted order)."""
-    verts = hex_vertices(l)
-    col = {cell: i for i, cell in enumerate(verts)}
-    rows = []
-    for v in diamond_vertices(l):
-        image = phi_vertex(l, v)
-        stray = [c for c in image if c not in col]
-        if stray:
-            raise AssertionError(f"phi({v}) references {stray} outside the hexagon")
-        row = [0] * len(verts)
-        for cell, c in image.items():
-            row[col[cell]] = c
-        rows.append(tuple(row))
-    return rows
+    return [_dense(l, phi_vertex(l, v), f"phi({v})") for v in diamond_vertices(l)]
 
 
 def phi_image(l: int, g) -> dict:
     """Image of a diamond cone point under the comparison map."""
-    out = Counter()
-    for gv, v in zip(g, diamond_vertices(l)):
-        if gv:
-            for cell, c in phi_vertex(l, v).items():
-                out[cell] += gv * c
-    return {cell: c for cell, c in out.items() if c}
+    return _combine((gv, phi_vertex(l, v)) for gv, v in zip(g, diamond_vertices(l)) if gv)
 
 
 def _column_block(cell, l):
@@ -420,53 +386,25 @@ def sigma_hat_vertex(l: int, cell) -> dict:
     """Projected weight vector of a hexagon vertex over the three flag arms;
     center coordinates are shared across arms."""
     a, b = cell
-    out = Counter()
-
-    def add(units, scale=1):
-        for key, cval in units.items():
-            out[key] += scale * cval
-
     if a >= 0 and b >= 0:
-        add(_arm_unit(1, a, l))
-        add(_arm_unit(2, b, l))
-        add(_arm_unit(3, l - a - b, l))
-        out[("c", l)] -= 1
+        terms = [(1, _arm_unit(1, a, l)), (1, _arm_unit(2, b, l))]
     elif a <= 0 and b <= 0:
-        add(_arm_unit(1, b, l), -1)
-        add(_arm_unit(2, a, l), -1)
-        add(_arm_unit(3, -l - a - b, l), -1)
-        out[("c", -l)] += 1
-    elif a > 0 > b:
-        add(_arm_unit(1, a, l))
-        add(_arm_unit(1, b, l), -1)
-        if a + b > 0:
-            add(_arm_unit(3, l - a - b, l))
-            out[("c", l)] -= 1
-        elif a + b < 0:
-            add(_arm_unit(3, -l - a - b, l), -1)
-            out[("c", -l)] += 1
-    else:
-        add(_arm_unit(2, b, l))
-        add(_arm_unit(2, a, l), -1)
-        if a + b > 0:
-            add(_arm_unit(3, l - a - b, l))
-            out[("c", l)] -= 1
-        elif a + b < 0:
-            add(_arm_unit(3, -l - a - b, l), -1)
-            out[("c", -l)] += 1
-    return {k: v for k, v in out.items() if v}
+        terms = [(-1, _arm_unit(1, b, l)), (-1, _arm_unit(2, a, l))]
+    else:  # a and b of opposite signs
+        arm = 1 if a > 0 else 2
+        terms = [(1, _arm_unit(arm, max(a, b), l)), (-1, _arm_unit(arm, min(a, b), l))]
+    if a + b > 0:
+        terms += [(1, _arm_unit(3, l - a - b, l)), (-1, {("c", l): 1})]
+    elif a + b < 0:
+        terms += [(-1, _arm_unit(3, -l - a - b, l)), (1, {("c", -l): 1})]
+    return _combine(terms)
 
 
-def sigma_hat_weight(l: int, h) -> tuple:
-    """Projected weight of a hexagon vector, restricted to the first-arm flag
-    coordinates: (sigma(-1..-l), sigma(1..l)) in the engine's layout."""
-    hv = _as_hex_dict(l, h)
-    total = Counter()
-    for cell, x in hv.items():
-        if not x:
-            continue
-        for key, c in sigma_hat_vertex(l, cell).items():
-            total[key] += x * c
+def sigma_hat_weight(l: int, h: dict) -> tuple:
+    """Projected weight of a hexagon cell dictionary, restricted to the
+    first-arm flag coordinates: (sigma(-1..-l), sigma(1..l)) in the engine's
+    layout."""
+    total = _combine((x, sigma_hat_vertex(l, cell)) for cell, x in h.items() if x)
     out = [0] * (2 * l)
     for i in range(1, l):
         out[i - 1] = total.get((1, -i), 0)
@@ -511,8 +449,8 @@ def diamond2_closed_form() -> HilbertSeries:
     (e5, e3, e6, e4, e1, e2) = fan.cones[0]
     e1p = fan.cones[1][4]
     e2c = fan.cones[2][5]
-    one = LaurentPoly.constant(6, 1)
-    num = (one - LaurentPoly.monomial(6, tuple(a + b for a, b in zip(e1, e1p)))) * \
-          (one - LaurentPoly.monomial(6, tuple(a + b for a, b in zip(e2, e2c))))
+    num = _times_binomials(LaurentPoly.constant(6, 1),
+                           [tuple(a + b for a, b in zip(e1, e1p)),
+                            tuple(a + b for a, b in zip(e2, e2c))])
     den = Counter([e3, e4, e5, e6, e1, e1p, e2, e2c])
     return HilbertSeries(num, den)

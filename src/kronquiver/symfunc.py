@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, lambda_of_index_set, partitions_of
 
 _LR_MEMO: dict = {}
 _MN_MEMO: dict = {}
@@ -250,7 +250,9 @@ def kron_via_lr(lam: Partition, mu: Partition, nu: Partition, m: int = 2,
         if any(s < 0 for s in sizes):
             continue
         sign = _perm_sign(omega)
-        for etas in _eta_tuples(sizes, mu, nu, prune):
+        pools = [[e for e in partitions_of(s)
+                  if not prune or (mu.contains(e) and nu.contains(e))] for s in sizes]
+        for etas in product(*pools):
             c1 = multi_lr(etas, mu)
             if not c1:
                 continue
@@ -264,24 +266,6 @@ def _perm_sign(omega):
     return -1 if inv % 2 else 1
 
 
-def _eta_tuples(sizes, mu, nu, prune):
-    pools = []
-    for s in sizes:
-        pool = [e for e in partitions_of(s)
-                if not prune or (mu.contains(e) and nu.contains(e))]
-        pools.append(pool)
-
-    def rec(i):
-        if i == len(pools):
-            yield ()
-            return
-        for e in pools[i]:
-            for rest in rec(i + 1):
-                yield (e,) + rest
-
-    return rec(0)
-
-
 def horn_positive(lam: Partition, mu: Partition, nu: Partition, m: int) -> bool:
     """Whether all Horn inequalities hold, i.e. whether the LR coefficient
     c_{mu,nu}^lam is positive.  The admissible index triples are found by
@@ -290,8 +274,6 @@ def horn_positive(lam: Partition, mu: Partition, nu: Partition, m: int) -> bool:
         raise ValueError(f"partition length exceeds m={m}")
     if lam.size != mu.size + nu.size:
         raise ValueError("degree mismatch: |lam| must equal |mu| + |nu|")
-    from .partitions import lambda_of_index_set
-
     for r in range(1, m):
         subsets = [tuple(reversed(c)) for c in combinations(range(1, m + 1), r)]
         parts = {s: lambda_of_index_set(s) for s in subsets}

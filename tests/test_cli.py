@@ -148,6 +148,87 @@ def test_phi(capsys):
     assert payload["in_hexagon_cone"]
 
 
+HILBERT_DIAMOND2_TEXT = """\
+numerator:
+  1 * z^(0, 0, 0, 0, 0, 0)
+  -1 * z^(0, 0, 0, 1, 0, 1)
+  -1 * z^(1, 0, 0, 0, 1, 0)
+  1 * z^(1, 0, 0, 1, 1, 1)
+denominator factors (1 - z^w):
+  w=(-1, 0, 0, 1, 0, 1) x1
+  w=(0, 0, 0, 0, 0, 1) x1
+  w=(0, 0, 0, 0, 1, 0) x1
+  w=(0, 0, 0, 1, 0, 0) x1
+  w=(0, 0, 1, 0, 0, 0) x1
+  w=(0, 1, 0, 0, 0, 0) x1
+  w=(1, -1, 0, 0, 1, 0) x1
+  w=(1, 0, 0, 0, 0, 0) x1
+matches closed form: yes
+"""
+
+PHI_L2_TEXT = """\
+(1;1,0)+: 0 0 0 -1 1 0 1 -1 0 0 1 0 0 0
+(1;0,1)+: 0 0 0 0 0 0 0 0 0 1 0 0 0 0
+(2;2,0)+: 0 1 0 0 0 0 0 0 0 0 0 0 0 0
+(2;1,1)+: 0 0 0 -1 1 0 0 -1 1 0 1 0 0 0
+(2;0,2)+: 0 0 0 0 0 0 0 0 0 0 0 0 1 0
+(1,1;2)-: 0 0 0 -1 1 0 1 -1 0 0 0 0 0 1
+"""
+
+PHI_L3_MATRIX = (
+    "0 0 0 0 0 0 0 0 0 0 -1 1 0 0 0 1 -1 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 -1 0 1 0 0 0 0 0 0 0 1 0 0 -1 0 0 0 0 0 0 0 0 0 1 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 -1 1 0 0 0 0 -1 0 0 1 0 1 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 -1 1 0 0 0 1 -1 0 0 0 0 0 0 0 0 0 1 0 0 0 0 0",
+    "0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+    "0 0 0 0 -1 0 1 0 0 0 0 0 0 0 0 0 0 -1 1 0 0 0 0 0 0 0 0 1 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 -1 1 0 0 0 0 -1 0 0 0 0 1 0 0 1 0 0 0 0 0 0 0",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0",
+    "0 0 0 0 -1 0 1 0 0 0 0 0 0 0 1 0 0 -1 0 0 0 0 0 0 0 0 0 0 0 0 0 1",
+    "0 0 0 0 0 0 0 0 0 0 -1 1 0 0 0 1 -1 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0",
+)
+
+PHI_L3_G_JSON = {
+    "l": 3,
+    "rows": ["(1;1,0)+", "(1;0,1)+", "(2;2,0)+", "(2;1,1)+", "(2;0,2)+", "(1,1;2)-",
+             "(3;3,0)+", "(3;2,1)+", "(3;1,2)+", "(3;0,3)+", "(2,1;3)-", "(1,2;3)-"],
+    "columns": [[-3, 1], [-3, 2], [-3, 3], [-2, -1], [-2, 0], [-2, 1], [-2, 2], [-2, 3],
+                [-1, -2], [-1, -1], [-1, 0], [-1, 1], [-1, 2], [-1, 3], [0, -2], [0, -1],
+                [0, 1], [0, 2], [1, -3], [1, -2], [1, -1], [1, 0], [1, 1], [1, 2],
+                [2, -3], [2, -2], [2, -1], [2, 0], [2, 1], [3, -3], [3, -2], [3, -1]],
+    "matrix": [[int(x) for x in row.split()] for row in PHI_L3_MATRIX],
+    "g": [1, 0, 2, 0, 0, 1, 0, 0, 0, 1, 0, 3],
+    "image": [
+        {"cell": [-2, 0], "value": -2},
+        {"cell": [-2, 2], "value": 2},
+        {"cell": [-1, 0], "value": -5},
+        {"cell": [-1, 1], "value": 5},
+        {"cell": [0, -2], "value": 2},
+        {"cell": [0, -1], "value": 5},
+        {"cell": [0, 1], "value": -5},
+        {"cell": [0, 2], "value": -2},
+        {"cell": [1, 0], "value": 1},
+        {"cell": [2, -1], "value": 1},
+        {"cell": [2, 0], "value": 2},
+        {"cell": [3, -3], "value": 1},
+        {"cell": [3, -2], "value": 3},
+    ],
+    "in_hexagon_cone": True,
+}
+
+
+def test_fanhex_outputs_pinned(capsys):
+    code, out = run_cli(capsys, "hilbert", "diamond2")
+    assert code == 0 and out == HILBERT_DIAMOND2_TEXT
+    code, out = run_cli(capsys, "phi", "--l", "2")
+    assert code == 0 and out == PHI_L2_TEXT
+    code, out = run_cli(capsys, "phi", "--l", "3", "--g", "1,0,2,0,0,1,0,0,0,1,0,3",
+                        "--format", "json")
+    assert code == 0 and out == json.dumps(PHI_L3_G_JSON, indent=2) + "\n"
+
+
 def test_exit_codes(capsys):
     code, _ = run_cli(capsys, "coeff", "--mu", "2x", "--nu", "2", "--lam", "2")
     assert code == 2

@@ -175,6 +175,14 @@ def test_frozen_frozen_arrows_kept():
     assert kept  # the level-l C arrows live between frozen vertices
 
 
+def test_mutation_keeps_frozen_two_cycles():
+    q = IceQuiver(["a", "f", "g"], 1, [("f", "g"), ("g", "f"), ("a", "f")])
+    assert dict(q.arrows) == {("f", "g"): 1, ("g", "f"): 1, ("a", "f"): 1}
+    m = q.mutate("a")
+    assert dict(m.arrows) == {("f", "g"): 1, ("g", "f"): 1, ("f", "a"): 1}
+    assert m.mutate("a").arrows == q.arrows
+
+
 def test_quiver_json_shape():
     q, _ = build_diamond(2)
     d = q.to_json_dict()

@@ -185,6 +185,41 @@ def test_hex_system_hrep_round_trip():
             assert section.contains(h), (l, v)
 
 
+HEX_L2_HREP = """\
+# hexagon cone of rank 2; columns are (-2,1) (-2,2) (-1,-1) (-1,0) (-1,1) (-1,2) \
+(0,-1) (0,1) (1,-2) (1,-1) (1,0) (1,1) (2,-2) (2,-1)
+dim 14
+ineq 21
+0 1 0 0 0 0 0 0 0 0 0 0 0 0  # corner
+0 0 0 0 0 0 0 0 0 0 0 0 1 0  # axis m=0
+0 0 0 0 0 0 0 0 0 1 0 0 1 0  # axis m=1
+0 0 0 0 0 0 0 0 0 0 0 1 0 0  # f1a j=1 m=1
+0 0 1 0 0 0 0 0 0 0 0 0 0 0  # f1b j=1 m=1
+0 0 0 0 0 0 0 0 0 0 1 1 0 0  # f1a j=1 m=2
+0 0 1 0 0 0 1 0 0 0 0 0 0 0  # f1b j=1 m=2
+0 0 0 0 0 0 0 0 0 1 1 1 0 0  # f1a j=1 m=3
+0 0 1 0 0 0 1 0 0 1 0 0 0 0  # f1b j=1 m=3
+0 0 0 0 0 0 0 0 1 0 0 0 0 0  # f2a k=1 m=0
+0 0 0 0 0 0 0 0 0 0 0 0 0 1  # f2b k=1 m=0
+0 0 0 0 0 0 1 0 1 0 0 0 0 0  # f2a k=1 m=1
+0 0 0 0 0 0 0 0 0 0 1 0 0 1  # f2b k=1 m=1
+0 0 0 1 0 0 1 0 1 0 0 0 0 0  # f2a k=1 m=2
+0 0 0 0 0 0 0 1 0 0 1 0 0 1  # f2b k=1 m=2
+0 0 0 0 0 1 0 0 0 0 0 0 0 0  # f3a j=1 m=0
+1 0 0 0 0 0 0 0 0 0 0 0 0 0  # f3b j=1 m=0
+0 0 0 0 1 1 0 0 0 0 0 0 0 0  # f3a j=1 m=1
+1 0 0 0 1 0 0 0 0 0 0 0 0 0  # f3b j=1 m=1
+0 0 0 1 1 1 0 0 0 0 0 0 0 0  # f3a j=1 m=2
+1 0 0 0 1 0 0 1 0 0 0 0 0 0  # f3b j=1 m=2
+eq 0
+"""
+
+
+def test_hex_system_hrep_pinned():
+    from kronquiver.fanhex import HexSystem
+    assert HexSystem(2).to_hrep() == HEX_L2_HREP
+
+
 def test_fan_hilbert_rejects_bad_fans():
     fan = diamond2_fan()
     broken = UnimodularFan(6, (fan.cones[0][:5] + (fan.cones[0][4],),))
