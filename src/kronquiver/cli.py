@@ -15,7 +15,7 @@ import sys
 from . import engine, fanhex, semiinv
 from .diamond import PAPER_DIAMOND2_ALIAS, cone_inequalities, diamond_vertices
 from .lattice import SectionError, enumerate_points
-from .partitions import Partition, Weight
+from .partitions import LambdaWeight, Partition, Weight
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -131,7 +131,6 @@ def cmd_enumerate(args):
         p = _partition(args.lam)
         if p.length > 2:
             raise CliError(EXIT_INVARIANT, "lambda must have at most two rows")
-        from .partitions import LambdaWeight
         lam = LambdaWeight(p[0], p[1])
     l = sigma.l
     try:

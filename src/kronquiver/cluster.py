@@ -124,9 +124,6 @@ class WeightConfiguration:
                 return False
         return True
 
-    def matrix(self):
-        return [list(self.rows[v]) for v in self.quiver.vertices]
-
 
 def mutate_weight_config(quiver: IceQuiver, config: WeightConfiguration, u) -> WeightConfiguration:
     """New configuration for the mutated quiver: the row at u becomes the

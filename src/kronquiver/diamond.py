@@ -175,9 +175,6 @@ class VertexPath:
     def __len__(self):
         return len(self.vertices)
 
-    def suffix(self, start: int) -> "VertexPath":
-        return VertexPath(self.vertices[start:], self.steps[start:])
-
     def vertex_counts(self) -> Counter:
         return Counter(self.vertices)
 

@@ -2,12 +2,13 @@
 integer inequality rows a.g >= 0 plus equality rows a.g = b.
 
 One scan, ``_scan``: a Hermite-style integer solve certifies that the equality
-lattice has a point; interval propagation over every constraint, written as
-one-sided rows, bounds what it can of the coordinate box, and exact LP
-(``linalg.lp_box``, idle when propagation closed the box) bounds the rest; a
-depth-first scan with per-node propagation then keeps each leaf that meets
-the raw rows in integer arithmetic.  ``diagnose`` is ``lp_box`` on a box with
-every side open.  No floating point anywhere.
+lattice has a point; interval propagation over every constraint, written once
+per section as one-sided sparse rows of nonzero ``(index, coeff)`` terms (the
+form ``linalg.propagate_box`` takes), bounds what it can of the coordinate
+box, and exact LP (``linalg.lp_box``, idle when propagation closed the box)
+bounds the rest; a depth-first scan with per-node propagation then keeps each
+leaf that meets the raw rows in integer arithmetic.  ``diagnose`` is
+``lp_box`` on a box with every side open.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def diagnose(section: PolytopeSection) -> str:
                          [b for _, b in eqs], [None] * section.dim, [None] * section.dim)
 
 
+def _terms(a):
+    """The ``(index, coeff)`` pairs of the nonzero entries of the row ``a``."""
+    return tuple((i, c) for i, c in enumerate(a) if c)
+
+
 def _scan(section: PolytopeSection) -> list:
     """Integer points of the section in scan order.  Raises SectionError on an
     unbounded section."""
@@ -92,10 +98,11 @@ def _scan(section: PolytopeSection) -> list:
     # Certify integer solvability of the equality lattice before scanning.
     if eq_rows and linalg.solve_integer_system(eq_rows, eq_rhs) is None:
         return []
-    # Every constraint as a one-sided row a.g >= r.
-    rows = [(a, 0) for a in section.ineqs]
+    # Every constraint as a one-sided sparse row: its nonzero terms, a.g >= r.
+    rows = [(_terms(a), 0) for a in section.ineqs]
     for a, b in section.equalities:
-        rows += [(a, b), (tuple(-x for x in a), -b)]
+        terms = _terms(a)
+        rows += [(terms, b), (tuple((i, -c) for i, c in terms), -b)]
     box = linalg.propagate_box(rows, [None] * section.dim, [None] * section.dim)
     if box is None:
         return []

@@ -6,7 +6,10 @@ This is the package's one home for Fraction elimination: ``rank``,
 ``inverse`` and both simplex phases are built on the Gauss-Jordan step
 ``_pivot``, and ``det_frac`` eliminates forward only; ``lp_box`` prices every
 objective into one phase 1 tableau.  ``solve_integer_system`` uses unimodular
-integer column operations instead.  No floating point is used anywhere.
+integer column operations instead.  ``propagate_box`` takes sparse rows
+``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``, whose terms
+are the nonzero ``(index, coeff)`` pairs only: a zero coefficient would divide
+by zero.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -179,56 +182,48 @@ def solve_integer_system(eq_rows, rhs):
 def propagate_box(rows, lower, upper, max_rounds=None):
     """Tighten per-variable integer bounds against rows ``a . x >= r``.
 
-    ``rows`` is a list of ``(coeffs, r)``.  Returns ``(lower, upper)`` lists
-    (entries may stay None) or ``None`` when a row is provably unsatisfiable.
-    Sound: never cuts off an integer solution.
+    ``rows`` is a list of sparse rows ``(terms, r)``: ``terms`` holds the
+    ``(index, coeff)`` pairs of the row's nonzero coefficients, each index at
+    most once.  A zero coefficient is not allowed: it would divide by zero.
+    Returns ``(lower, upper)`` lists (entries may stay None) or ``None`` when
+    a row is provably unsatisfiable.  Sound: never cuts off an integer
+    solution.
+
+    One pass over a row's terms sums its slack ``a . x - r`` with each term at
+    its best side of the box and lists the terms whose best side is open.  A
+    row with two or more open terms bounds nothing; with one it bounds that
+    term; with none a negative slack is infeasible, and otherwise it bounds
+    every term.
     """
-    n = len(lower)
     lo = list(lower)
     hi = list(upper)
     if max_rounds is None:
-        max_rounds = 4 * (n + 1)
+        max_rounds = 4 * (len(lo) + 1)
     for _ in range(max_rounds):
         changed = False
-        for coeffs, r in rows:
-            # Best-case value of each term given the current box.
-            best = []
-            ok = True
-            for a, l, h in zip(coeffs, lo, hi):
-                if a > 0:
-                    best.append(None if h is None else a * h)
-                elif a < 0:
-                    best.append(None if l is None else a * l)
-                else:
-                    best.append(0)
-            total = 0
-            ninf = 0
-            for b in best:
+        for terms, r in rows:
+            slack = -r
+            open_terms = []
+            for i, a in terms:
+                b = hi[i] if a > 0 else lo[i]
                 if b is None:
-                    ninf += 1
+                    open_terms.append((i, a))
                 else:
-                    total += b
-            if ninf == 0 and total < r:
+                    slack += a * b
+            if len(open_terms) > 1:
+                continue
+            if not open_terms and slack < 0:
                 return None
-            for i, a in enumerate(coeffs):
-                if a == 0:
-                    continue
-                if best[i] is None:
-                    if ninf > 1:
-                        continue
-                    rest = total
-                elif ninf > 0:
-                    continue
-                else:
-                    rest = total - best[i]
-                # a*x_i >= r - rest
+            # a*x_i >= a*b - slack, with b the best side of x_i (0 for the open
+            # term, which the slack leaves out); dividing by a rounds inward.
+            for i, a in open_terms or terms:
                 if a > 0:
-                    bound = -((rest - r) // a)  # ceil((r - rest)/a)
+                    bound = (0 if open_terms else hi[i]) - slack // a
                     if lo[i] is None or bound > lo[i]:
                         lo[i] = bound
                         changed = True
                 else:
-                    bound = (rest - r) // (-a)  # floor((r - rest)/(-a))
+                    bound = (0 if open_terms else lo[i]) + slack // -a
                     if hi[i] is None or bound < hi[i]:
                         hi[i] = bound
                         changed = True

@@ -13,7 +13,7 @@ presentation is written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diamond import DiamondVertex, V, build_diamond
@@ -268,11 +268,7 @@ class VerifyReport:
     relation: str
     trials: int
     checks: int = 0
-    failures: list = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

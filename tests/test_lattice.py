@@ -215,3 +215,24 @@ def test_closed_root_box_runs_no_lp(monkeypatch):
     monkeypatch.setattr(linalg, "solve_lp", no_lp)
     assert [count_points(s) for s in sections] == counts
     assert counts[0] > 0 and counts[2] > 0
+
+
+def test_scan_work_is_pinned_on_a_ladder_section(monkeypatch):
+    # The lambda-section of the ladder query (5,5,5,5)^2/(10,10) at l = 4:
+    # one root call (no max_rounds), then one call per scan node, of which
+    # 2799 prune the node, for 12 points.  A propagation change that alters
+    # the boxes of this scan shows up here as changed counts.
+    calls = {"root": 0, "node": 0, "pruned": 0}
+    propagate = linalg.propagate_box
+
+    def counted(rows, lower, upper, max_rounds=None):
+        box = propagate(rows, lower, upper, max_rounds)
+        calls["root" if max_rounds is None else "node"] += 1
+        calls["pruned"] += max_rounds is not None and box is None
+        return box
+
+    monkeypatch.setattr(linalg, "propagate_box", counted)
+    sigma = partitions_to_weight(Partition((5, 5, 5, 5)), Partition((5, 5, 5, 5)), 4)
+    points = enumerate_points(section_for(sigma, LambdaWeight(10, 10)))
+    assert len(points) == 12
+    assert calls == {"root": 1, "node": 4253, "pruned": 2799}

@@ -248,8 +248,10 @@ def test_propagate_box_never_cuts_off_an_integer_solution():
         given_hi = [None if rng.random() < 0.3 else v for v in hi]
         points = [x for x in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
                   if all(dot(a, x) >= r for a, r in rows)]
+        # The same rows in the sparse form propagate_box takes.
+        sparse = [(tuple((i, c) for i, c in enumerate(a) if c), r) for a, r in rows]
         for max_rounds in (None, 1, 6):
-            box = propagate_box(rows, given_lo, given_hi, max_rounds=max_rounds)
+            box = propagate_box(sparse, given_lo, given_hi, max_rounds=max_rounds)
             if box is None:
                 assert points == [], (rows, given_lo, given_hi)
                 pruned += max_rounds is None
@@ -263,7 +265,8 @@ def test_propagate_box_never_cuts_off_an_integer_solution():
 
 def test_propagate_box_tightens_a_copy():
     lower, upper = [0, 0], [3, 3]
-    assert propagate_box([((1, -1), 1)], lower, upper) == ([1, 0], [3, 2])
+    # x0 - x1 >= 1 as the sparse row ((index, coeff), ...), r.
+    assert propagate_box([(((0, 1), (1, -1)), 1)], lower, upper) == ([1, 0], [3, 2])
     assert (lower, upper) == ([0, 0], [3, 3])
 
 
