@@ -14,13 +14,12 @@ class IceQuiver:
     2-cycles touching a mutable vertex are cancelled on construction.
     """
 
-    def __init__(self, vertices, num_mutable, arrows, labels=None):
+    def __init__(self, vertices, num_mutable, arrows):
         self.vertices = tuple(vertices)
         self.num_mutable = num_mutable
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertex")
-        self.labels = dict(labels) if labels else {v: str(v) for v in self.vertices}
         counts = Counter()
         for arrow in arrows:
             u, v = arrow[0], arrow[1]
@@ -83,16 +82,16 @@ class IceQuiver:
             counts[(u, w)] -= c
             counts[(w, u)] += c
         arrows = [(a, b, c) for (a, b), c in counts.items() if c > 0]
-        return IceQuiver(self.vertices, self.num_mutable, arrows, self.labels)
+        return IceQuiver(self.vertices, self.num_mutable, arrows)
 
     def to_json_dict(self):
         arrows = []
         for (u, v), c in sorted(self.arrows.items(),
                                 key=lambda kv: (self.index[kv[0][0]], self.index[kv[0][1]])):
-            arrows.extend([[self.labels[u], self.labels[v]]] * c)
+            arrows.extend([[str(u), str(v)]] * c)
         return {
-            "mutable": [self.labels[v] for v in self.mutable_vertices],
-            "frozen": [self.labels[v] for v in self.frozen_vertices],
+            "mutable": [str(v) for v in self.mutable_vertices],
+            "frozen": [str(v) for v in self.frozen_vertices],
             "arrows": arrows,
         }
 

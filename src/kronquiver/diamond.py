@@ -143,14 +143,10 @@ def build_diamond(l: int) -> tuple[IceQuiver, WeightConfiguration]:
     """The rank-l diamond ice quiver with its full weight configuration."""
     if l < 1:
         raise ValueError("l must be positive")
-    vertices = diamond_vertices(l)
-    mutable = [v for v in vertices if v.i < l]
-    frozen = [v for v in vertices if v.i == l]
-    ordered = mutable + frozen
+    vertices = diamond_vertices(l)  # the frozen level i = l comes last
     arrows = [(s, d, m) for (s, d, m, _kind) in diamond_arrows(l)]
-    quiver = IceQuiver(ordered, len(mutable), arrows,
-                       labels={v: str(v) for v in ordered})
-    config = WeightConfiguration(quiver, {v: sigma_tilde_row(v, l) for v in ordered})
+    quiver = IceQuiver(vertices, sum(v.i < l for v in vertices), arrows)
+    config = WeightConfiguration(quiver, {v: sigma_tilde_row(v, l) for v in vertices})
     return quiver, config
 
 
@@ -248,8 +244,9 @@ def cone_inequalities(l: int) -> ConeSystem:
     """One row per nonempty proper suffix of each generic tri-broken path, per
     suffix of the (0,l) axis path (full path included), plus the single-vertex
     path at (l;l,0)."""
-    quiver, _ = build_diamond(l)
-    vertices = quiver.vertices
+    if l < 1:
+        raise ValueError("l must be positive")
+    vertices = diamond_vertices(l)
     index = {v: n for n, v in enumerate(vertices)}
     rows = []
 
@@ -269,10 +266,7 @@ def cone_inequalities(l: int) -> ConeSystem:
     axis = tri_broken_path(l, 0, l)
     for start in range(len(axis)):
         add_row(axis, start, f"tp[{l};0,{l}] suffix@{start}")
-    trivial = V(1, l, l, 0)
-    coeffs = [0] * len(vertices)
-    coeffs[index[trivial]] = 1
-    rows.append((tuple(coeffs), f"e[{l};{l},0]"))
+    add_row(VertexPath((V(1, l, l, 0),), ()), 0, f"e[{l};{l},0]")
 
     vecs = [r for r, _ in rows]
     if len(set(vecs)) != len(vecs):

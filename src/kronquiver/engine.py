@@ -12,10 +12,16 @@ from functools import lru_cache
 from . import symfunc
 from .diamond import cone_inequalities, sigma_tilde_row
 from .lattice import PolytopeSection, count_points, enumerate_points
+from .linalg import dot
 from .partitions import (LambdaWeight, Partition, Weight, lambda_omega,
                          partitions_of, partitions_to_weight)
 
 METHODS = ("polytope", "characters", "lr")
+
+
+def _default_l(mu: Partition, nu: Partition) -> int:
+    """The smallest rank that holds both partitions (at least 1)."""
+    return max(mu.length, nu.length, 1)
 
 
 @dataclass(frozen=True)
@@ -30,13 +36,13 @@ class KroneckerQuery:
             raise ValueError("partitions must have equal size")
         if self.lam.length > 2:
             raise ValueError("lambda must have at most two rows")
-        if max(self.mu.length, self.nu.length, 1) > self.l:
+        if _default_l(self.mu, self.nu) > self.l:
             raise ValueError(f"mu and nu must have at most l={self.l} rows")
 
     @classmethod
     def create(cls, mu, nu, lam, l=None):
         if l is None:
-            l = max(mu.length, nu.length, 1)
+            l = _default_l(mu, nu)
         return cls(mu, nu, lam, int(l))
 
 
@@ -79,54 +85,40 @@ def _cone(l: int):
 
 
 @lru_cache(maxsize=None)
-def _sigma_rows(l: int):
-    """Equality rows extracting the 2l flag coordinates of the graded weight."""
-    cone = _cone(l)
-    rows = []
-    weights = [sigma_tilde_row(v, l) for v in cone.vertices]
-    for c in range(2 * l):
-        rows.append(tuple(w[c] for w in weights))
-    lam1 = tuple(w[2 * l] for w in weights)
-    lam2 = tuple(w[2 * l + 1] for w in weights)
-    return rows, lam1, lam2
+def _grading(l: int):
+    """The graded weight as 2l + 2 functionals over the cone coordinates: the
+    flag coordinates (sigma(-1..-l), sigma(1..l)), then the torus pair (j, k)."""
+    return tuple(zip(*(sigma_tilde_row(v, l) for v in _cone(l).vertices)))
 
 
 def section_for(sigma: Weight, lam: LambdaWeight | None = None) -> PolytopeSection:
     """Cone section with the flag-weight equalities and, optionally, the
     torus-weight equalities."""
-    l = sigma.l
-    cone = _cone(l)
-    rows, lam1, lam2 = _sigma_rows(l)
-    eqs = [(rows[c], sigma.neg[c]) for c in range(l)]
-    eqs += [(rows[l + c], sigma.pos[c]) for c in range(l)]
+    rhs = sigma.neg + sigma.pos
     if lam is not None:
-        eqs.append((lam1, lam.a))
-        eqs.append((lam2, lam.b))
-    return PolytopeSection.from_cone(cone, eqs)
+        rhs += lam.as_tuple()
+    # Without lam, zip stops before the two torus rows.
+    return PolytopeSection.from_cone(_cone(sigma.l), zip(_grading(sigma.l), rhs))
 
 
-def polytope_counts(mu: Partition, nu: Partition, lam: Partition, l: int):
+def polytope_counts(sigma: Weight, lam: Partition):
     """Lattice counts of the two sections whose difference is the coefficient."""
-    sigma = partitions_to_weight(mu, nu, l)
-    target = LambdaWeight(lam[0], lam[1])
-    omega = lambda_omega(lam)
-    n_lam = count_points(section_for(sigma, target))
-    n_omega = count_points(section_for(sigma, omega))
-    return sigma, n_lam, n_omega
+    n_lam = count_points(section_for(sigma, LambdaWeight(lam[0], lam[1])))
+    n_omega = count_points(section_for(sigma, lambda_omega(lam)))
+    return n_lam, n_omega
 
 
 def kronecker(query: KroneckerQuery, method: str = "all") -> MethodReport:
     """Kronecker coefficient by the requested method(s)."""
-    wanted = list(METHODS) if method == "all" else [method]
-    unknown = [m for m in wanted if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown method {unknown[0]!r}")
+    if method != "all" and method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    wanted = METHODS if method == "all" else (method,)
     sigma = partitions_to_weight(query.mu, query.nu, query.l)
     report = MethodReport(query, sigma)
     for m in wanted:
         t0 = time.perf_counter()
         if m == "polytope":
-            _, n_lam, n_omega = polytope_counts(query.mu, query.nu, query.lam, query.l)
+            n_lam, n_omega = polytope_counts(sigma, query.lam)
             value = n_lam - n_omega
             if value < 0:
                 raise AssertionError(f"negative polytope count difference for {query}")
@@ -146,7 +138,7 @@ def truncated_product(mu: Partition, nu: Partition, l=None) -> symfunc.SchurExpa
     if mu.size != nu.size:
         raise ValueError("partitions must have equal size")
     if l is None:
-        l = max(mu.length, nu.length, 1)
+        l = _default_l(mu, nu)
     sigma = partitions_to_weight(mu, nu, l)
     points = enumerate_points(section_for(sigma))
     weights = [lambda_weight_of(g, l) for g in points]
@@ -154,17 +146,13 @@ def truncated_product(mu: Partition, nu: Partition, l=None) -> symfunc.SchurExpa
 
 
 def lambda_weight_of(g, l: int) -> LambdaWeight:
-    """Torus weight of a cone point: pairing with the (j, k) grading."""
-    cone = _cone(l)
-    a = sum(gv * v.j for gv, v in zip(g, cone.vertices))
-    b = sum(gv * v.k for gv, v in zip(g, cone.vertices))
-    return LambdaWeight(a, b)
+    """Torus weight of a cone point: pairing with the (j, k) grading rows."""
+    return LambdaWeight(*(dot(row, g) for row in _grading(l)[2 * l:]))
 
 
 def sigma_weight_of(g, l: int) -> tuple:
-    """Flag weight of a cone point: pairing with the graded weight rows."""
-    rows, _, _ = _sigma_rows(l)
-    return tuple(sum(gv * c for gv, c in zip(g, row)) for row in rows)
+    """Flag weight of a cone point: pairing with the flag grading rows."""
+    return tuple(dot(row, g) for row in _grading(l)[:2 * l])
 
 
 @dataclass
@@ -195,9 +183,8 @@ def _validate_pair(args):
     mu = Partition(mu_parts)
     nu = Partition(nu_parts)
     out = []
-    l = max(mu.length, nu.length, 1)
     for lam in partitions_of(n, max_length=2):
-        rep = kronecker(KroneckerQuery.create(mu, nu, lam, l), method="all")
+        rep = kronecker(KroneckerQuery.create(mu, nu, lam), method="all")
         out.append(((mu_parts, nu_parts, lam.parts), dict(rep.values)))
     return out
 

@@ -153,14 +153,14 @@ def fan_hilbert(fan: UnimodularFan) -> HilbertSeries:
 
 
 def fan_slice_count(fan: UnimodularFan, gen_weight, target,
-                    gen_positive=None, target_positive=None) -> int:
+                    gen_positive, target_positive) -> int:
     """Number of fan lattice points with the prescribed weight, extracted from
     the inclusion-exclusion expansion: each face is a free monoid on its
     generators, so a slice coefficient counts nonnegative integer combinations.
 
-    ``gen_weight`` maps a generator to its weight tuple.  ``gen_positive`` may
-    supply a strictly positive grading (with its target value) that keeps the
-    combination search finite without LP calls.
+    ``gen_weight`` maps a generator to its weight tuple.  ``gen_positive`` is
+    a strictly positive grading (with its target value ``target_positive``)
+    that keeps the combination search finite without LP calls.
     """
     total = 0
     for sign, face in _signed_faces(fan):
@@ -173,8 +173,7 @@ def fan_slice_count(fan: UnimodularFan, gen_weight, target,
             weights = [gen_weight(g) for g in gens]
             eqs = [(tuple(w[c] for w in weights), target[c])
                    for c in range(len(target))]
-            if gen_positive is not None:
-                eqs.append((tuple(gen_positive(g) for g in gens), target_positive))
+            eqs.append((tuple(gen_positive(g) for g in gens), target_positive))
             count = count_points(PolytopeSection(d, ineqs, eqs))
         total += sign * count
     return total

@@ -94,10 +94,10 @@ class FlagRep:
         return FlagRep(self.l, neg, pos, a1, a2)
 
 
-def random_flag_rep(l, rng, lo=-9, hi=9) -> FlagRep:
-    """Representation with small random integer entries."""
+def random_flag_rep(l, rng) -> FlagRep:
+    """Representation with random integer entries in [-9, 9]."""
     def m(rows, cols):
-        return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
+        return [[Fraction(rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)]
 
     return FlagRep(l,
                    tuple(m(i, i + 1) for i in range(1, l)),

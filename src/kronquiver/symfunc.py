@@ -10,7 +10,6 @@ disk.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -37,9 +36,6 @@ class SchurExpansion:
 
     def items(self):
         return sorted(self.coeffs.items(), key=lambda pc: pc[0].parts, reverse=True)
-
-    def to_json(self) -> str:
-        return json.dumps({f"({p})": c for p, c in self.items()})
 
     def __str__(self):
         if not self.coeffs:

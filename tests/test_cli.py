@@ -58,6 +58,7 @@ def test_truncated(capsys):
     code, out = run_cli(capsys, "truncated", "--mu", "2,1", "--nu", "2,1",
                         "--format", "json")
     validate(json.loads(out), "truncated.json")
+    assert json.dumps(json.loads(out)["expansion"]) == '{"(3)": 1, "(2,1)": 1}'
 
 
 def test_enumerate_text_points(capsys):

@@ -146,6 +146,13 @@ def test_cone_rows_rank2_match_stated_list():
     assert set(cs.row_vectors()) == expected
 
 
+def test_cone_vertices_in_canonical_order():
+    for l in range(1, 9):
+        assert cone_inequalities(l).vertices == tuple(diamond_vertices(l))
+    with pytest.raises(ValueError, match="l must be positive"):
+        cone_inequalities(0)
+
+
 def test_cone_rank1():
     cs = cone_inequalities(1)
     names = [str(v) for v in cs.vertices]

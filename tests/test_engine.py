@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,8 @@ from kronquiver.engine import (KroneckerQuery, cross_validate, kronecker,
                                lambda_weight_of, polytope_counts, section_for,
                                sigma_weight_of, truncated_product)
 from kronquiver.lattice import enumerate_points
-from kronquiver.partitions import Partition, partitions_of, partitions_to_weight
+from kronquiver.partitions import (LambdaWeight, Partition, partitions_of,
+                                   partitions_to_weight)
 from kronquiver.symfunc import kron_characters
 
 
@@ -40,6 +42,37 @@ def test_golden_rank2_example():
     for g in points:
         assert lambda_weight_of(g, 2).as_tuple() == expected[tuple(g)]
         assert sigma_weight_of(g, 2) == (-1, -1, 1, 1)
+
+
+def test_section_equalities_pinned_at_rank3():
+    # Flag rows sigma(-1..-3), sigma(1..3), then the torus rows (j, k), each
+    # with its right-hand side; without lambda only the flag rows remain.
+    sigma = partitions_to_weight(P(3, 2, 1), P(4, 1, 1), 3)
+    flag = [
+        ((-1, -1, 0, 0, 0, -2, 0, 0, 0, 0, -1, -1), -1),
+        ((0, 0, -1, -1, -1, 0, 0, 0, 0, 0, -1, -1), -1),
+        ((0, 0, 0, 0, 0, 0, -1, -1, -1, -1, 0, 0), -1),
+        ((1, 1, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0), 3),
+        ((0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0), 0),
+        ((0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1), 1),
+    ]
+    torus = [
+        ((1, 0, 2, 1, 0, 1, 3, 2, 1, 0, 2, 1), 4),
+        ((0, 1, 0, 1, 2, 1, 0, 1, 2, 3, 1, 2), 2),
+    ]
+    assert section_for(sigma).equalities == flag
+    assert section_for(sigma, LambdaWeight(4, 2)).equalities == flag + torus
+
+
+def test_lambda_weights_of_the_rank4_ladder_sigma_section():
+    sigma = partitions_to_weight(P(5, 5, 5, 5), P(5, 5, 5, 5), 4)
+    points = enumerate_points(section_for(sigma))
+    assert len(points) == 126
+    got = Counter(lambda_weight_of(g, 4).as_tuple() for g in points)
+    half = [1, 1, 2, 3, 5, 6, 8, 9, 11, 11]
+    mult = half + [12] + half[::-1]
+    assert got == Counter({(a, 20 - a): m for a, m in enumerate(mult)})
+    assert {sigma_weight_of(g, 4) for g in points} == {sigma.neg + sigma.pos}
 
 
 def test_golden_rank2_coefficients():
@@ -103,7 +136,7 @@ def test_nonnegative_count_difference_and_symmetry():
         mu, nu = rng.choice(pool), rng.choice(pool)
         lam = rng.choice([p for p in partitions_of(n, max_length=2)])
         l = max(mu.length, nu.length, 1)
-        _, n_lam, n_omega = polytope_counts(mu, nu, lam, l)
+        n_lam, n_omega = polytope_counts(partitions_to_weight(mu, nu, l), lam)
         assert n_lam >= n_omega
         for method in ("polytope", "characters", "lr"):
             a = kronecker(KroneckerQuery.create(mu, nu, lam, l), method).g
@@ -113,7 +146,7 @@ def test_nonnegative_count_difference_and_symmetry():
 
 def test_lambda_omega_section_fed_unchanged():
     # lambda = (n) subtracts the (n+1, -1) section, which must come back empty
-    sigma, n_lam, n_omega = polytope_counts(P(3), P(3), P(3), 1)
+    n_lam, n_omega = polytope_counts(partitions_to_weight(P(3), P(3), 1), P(3))
     assert (n_lam, n_omega) == (1, 0)
 
 
