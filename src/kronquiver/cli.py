@@ -131,6 +131,8 @@ def cmd_enumerate(args):
         p = _partition(args.lam)
         if p.length > 2:
             raise CliError(EXIT_INVARIANT, "lambda must have at most two rows")
+        if p.size != sigma.size:
+            raise CliError(EXIT_INVARIANT, "partitions must have equal size")
         lam = LambdaWeight(p[0], p[1])
     l = sigma.l
     try:

@@ -1,6 +1,14 @@
 """Headline pipelines: Kronecker coefficients and 2-truncated Kronecker
 products by lattice-point counting in diamond-quiver cone sections, with the
 classical character and LR oracles for cross-validation.
+
+Every section of rank 4 carries a root box proved by a committed table of LP
+dual certificates (``_certificates.py``, written by
+``scripts/gen_certificates.py``).  A certificate's bound holds for every
+right-hand side of the same rank and equality rows, so the box costs a few dot
+products per side; ``_certificates`` checks the whole table in integer
+arithmetic on the first rank-4 section and raises on a bad entry.  Other
+ranks have no table, and their sections carry no box.
 """
 
 from __future__ import annotations
@@ -91,14 +99,74 @@ def _grading(l: int):
     return tuple(zip(*(sigma_tilde_row(v, l) for v in _cone(l).vertices)))
 
 
+@lru_cache(maxsize=None)
+def _certificates(l: int) -> dict:
+    """The committed LP dual certificates of rank ``l``, each checked here.
+
+    Keys are ``(torus, i, sense)``: whether the torus rows are among the
+    section's equality rows ``E``, a coordinate, and ``"min"`` or ``"max"``.
+    Values are lists of ``(y, z, d)`` triples, read from the table's
+    ``"y / z / d"`` text.  Each must satisfy, in integers,
+    ``E^T y - d e_i = s A^T z`` with ``z >= 0`` and ``d > 0``, where ``A`` holds
+    the cone rows and ``s`` is 1 for max and -1 for min.  Weak duality then
+    gives ``d g_i <= y . b`` (max) or ``d g_i >= y . b`` (min) on every
+    section with right-hand side ``b``.  A bad entry raises ValueError.
+    ``scripts/gen_certificates.py`` writes the table; it is read on the first
+    section of rank ``l``, never at import.
+    """
+    from ._certificates import CERTIFICATES
+    rows = _cone(l).row_vectors()
+    row_cols = list(zip(*rows))
+    pool = {}
+    for (rank, torus, i, sense), texts in CERTIFICATES.items():
+        if rank != l:
+            continue
+        grading = _grading(l) if torus else _grading(l)[:2 * l]
+        columns = list(enumerate(zip(zip(*grading), row_cols)))
+        s = 1 if sense == "max" else -1
+        certs = pool[torus, i, sense] = []
+        for text in texts:
+            y, z, d = text.split(" / ")
+            y, z, d = tuple(map(int, y.split())), tuple(map(int, z.split())), int(d)
+            if not (d > 0 and len(y) == len(grading) and len(z) == len(rows)
+                    and min(z) >= 0
+                    and all(dot(y, col) - d * (j == i) == s * dot(z, a_col)
+                            for j, (col, a_col) in columns)):
+                raise ValueError(f"bad dual certificate for l={l} torus={torus} "
+                                 f"coordinate {i} {sense}")
+            certs.append((y, z, d))
+    return pool
+
+
+def _pool_box(l: int, rhs: tuple):
+    """The root box that the rank-``l`` certificates prove for the section
+    with right-hand side ``rhs``: each side the tightest of its certificate
+    bounds, rounded inward.  None when rank ``l`` has no table."""
+    pool = _certificates(l)
+    if not pool:
+        return None
+    torus = len(rhs) > 2 * l
+    lo = [None] * _cone(l).dim
+    hi = list(lo)
+    for (t, i, sense), certs in pool.items():
+        if t == torus:
+            if sense == "max":
+                hi[i] = min(dot(y, rhs) // d for y, _, d in certs)
+            else:
+                lo[i] = max(-(-dot(y, rhs) // d) for y, _, d in certs)
+    return lo, hi
+
+
 def section_for(sigma: Weight, lam: LambdaWeight | None = None) -> PolytopeSection:
     """Cone section with the flag-weight equalities and, optionally, the
-    torus-weight equalities."""
+    torus-weight equalities, carrying the certified root box where the rank
+    has a certificate table."""
     rhs = sigma.neg + sigma.pos
     if lam is not None:
         rhs += lam.as_tuple()
     # Without lam, zip stops before the two torus rows.
-    return PolytopeSection.from_cone(_cone(sigma.l), zip(_grading(sigma.l), rhs))
+    return PolytopeSection.from_cone(_cone(sigma.l), zip(_grading(sigma.l), rhs),
+                                     _pool_box(sigma.l, rhs))
 
 
 def polytope_counts(sigma: Weight, lam: Partition):

@@ -7,8 +7,11 @@ per section as one-sided sparse rows of nonzero ``(index, coeff)`` terms (the
 form ``linalg.propagate_box`` takes), bounds what it can of the coordinate
 box, and exact LP (``linalg.lp_box``, idle when propagation closed the box)
 bounds the rest; a depth-first scan with per-node propagation then keeps each
-leaf that meets the raw rows in integer arithmetic.  ``diagnose`` is
-``lp_box`` on a box with every side open.  No floating point anywhere.
+leaf that meets the raw rows in integer arithmetic.  Root propagation starts
+from the section's ``box`` when it carries one (the engine's rank-4 sections
+do: a box proved by LP dual certificates), and from an all-open box
+otherwise.  ``diagnose`` is ``lp_box`` on a box with every side open, whatever
+the section carries.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -28,12 +31,18 @@ class SectionError(Exception):
 
 
 class PolytopeSection:
-    """Cone rows plus equality sections over a fixed coordinate space."""
+    """Cone rows plus equality sections over a fixed coordinate space.
 
-    def __init__(self, dim, ineqs, equalities=()):
+    ``box``, when given, is a ``(lo, hi)`` pair of integer bound lists (entries
+    may be None) that the caller has proved holds for every point of the
+    section; the scan starts its root propagation from it.
+    """
+
+    def __init__(self, dim, ineqs, equalities=(), box=None):
         self.dim = dim
         self.ineqs = [tuple(r) for r in ineqs]
         self.equalities = [(tuple(a), int(b)) for a, b in equalities]
+        self.box = box
         for r in self.ineqs:
             if len(r) != dim:
                 raise ValueError("inequality row dimension mismatch")
@@ -42,8 +51,8 @@ class PolytopeSection:
                 raise ValueError("equality row dimension mismatch")
 
     @classmethod
-    def from_cone(cls, cone, equalities=()):
-        return cls(cone.dim, cone.row_vectors(), equalities)
+    def from_cone(cls, cone, equalities=(), box=None):
+        return cls(cone.dim, cone.row_vectors(), equalities, box)
 
     def contains(self, point) -> bool:
         """Exact integer membership against the raw rows."""
@@ -103,7 +112,8 @@ def _scan(section: PolytopeSection) -> list:
     for a, b in section.equalities:
         terms = _terms(a)
         rows += [(terms, b), (tuple((i, -c) for i, c in terms), -b)]
-    box = linalg.propagate_box(rows, [None] * section.dim, [None] * section.dim)
+    lo, hi = section.box or ([None] * section.dim, [None] * section.dim)
+    box = linalg.propagate_box(rows, lo, hi)
     if box is None:
         return []
     lo, hi = box

@@ -1,15 +1,16 @@
 """Exact rational linear algebra: Fraction determinant, inverse and rank,
-integer lattice solving, interval propagation and LP bounds for integer
-boxes, and a two-phase simplex over the rationals.
+integer lattice solving, interval propagation, LP bounds and LP dual
+certificates for integer boxes, and a two-phase simplex over the rationals.
 
 This is the package's one home for Fraction elimination: ``rank``,
 ``inverse`` and both simplex phases are built on the Gauss-Jordan step
 ``_pivot``, and ``det_frac`` eliminates forward only; ``lp_box`` prices every
-objective into one phase 1 tableau.  ``solve_integer_system`` uses unimodular
-integer column operations instead.  ``propagate_box`` takes sparse rows
-``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``, whose terms
-are the nonzero ``(index, coeff)`` pairs only: a zero coefficient would divide
-by zero.  No floating point is used anywhere.
+objective into one phase 1 tableau, and ``dual_certificate`` solves the dual
+LP of one side of a cone section with ``solve_lp``.  ``solve_integer_system``
+uses unimodular integer column operations instead.  ``propagate_box`` takes
+sparse rows ``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``,
+whose terms are the nonzero ``(index, coeff)`` pairs only: a zero coefficient
+would divide by zero.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -368,6 +369,34 @@ def solve_lp(objective, ge_rows, ge_rhs, eq_rows=(), eq_rhs=(), sense="max"):
     ``eq_rows . x = eq_rhs``; ``point`` is a tuple of Fractions when optimal."""
     feasible = _phase1(len(objective), ge_rows, ge_rhs, eq_rows, eq_rhs)
     return LPResult(INFEASIBLE) if feasible is None else _phase2(*feasible, objective, sense)
+
+
+def dual_certificate(ge_rows, eq_rows, eq_rhs, i, sense):
+    """Integer LP dual certificate for the ``sense`` side of coordinate ``i``
+    over the cone section ``ge_rows . x >= 0``, ``eq_rows . x = eq_rhs``.
+
+    Solves the dual LP with ``solve_lp`` and returns ``(y, z, d)``: integer
+    tuples and a positive common denominator with ``E^T y - d e_i = s A^T z``
+    and ``z >= 0``, where ``s`` is 1 for ``"max"`` and -1 for ``"min"``.  Then
+    ``d x_i <= y . b`` (max) or ``d x_i >= y . b`` (min) for every point of
+    every section with the same rows and any right-hand side ``b``, with
+    equality at an optimum for ``eq_rhs``.  Returns None when that side of the
+    section is unbounded or the section is empty.
+    """
+    s = 1 if sense == "max" else -1
+    m, k = len(eq_rows), len(ge_rows)
+    # Columns of the dual: the multipliers y, then z.  One row per coordinate.
+    rows = [[row[j] for row in eq_rows] + [-s * row[j] for row in ge_rows]
+            for j in range(len(eq_rows[0]) if eq_rows else len(ge_rows[0]))]
+    z_rows = [[int(c == m + r) for c in range(m + k)] for r in range(k)]
+    res = solve_lp(list(eq_rhs) + [0] * k, z_rows, [0] * k, rows,
+                   [int(j == i) for j in range(len(rows))],
+                   sense="min" if s == 1 else "max")
+    if res.status != OPTIMAL:
+        return None
+    d = math.lcm(*(v.denominator for v in res.point))
+    scaled = tuple(int(v * d) for v in res.point)
+    return scaled[:m], scaled[m:], d
 
 
 def lp_feasible(ge_rows, ge_rhs, eq_rows=(), eq_rhs=()):

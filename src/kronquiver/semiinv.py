@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diamond import DiamondVertex, V, build_diamond
+from .diamond import DiamondVertex, V, diamond_vertices
 from .linalg import det_frac, inverse, mat_mul
 
 
@@ -287,14 +287,15 @@ def verify_exchange(l, trials=50, seed=0) -> VerifyReport:
     if l < 2:
         raise ValueError("need l >= 2 for a mutable vertex")
     rng = random.Random(seed)
-    quiver, _ = build_diamond(l)
+    vertices = diamond_vertices(l)
     report = VerifyReport("exchange", trials)
     for t in range(trials):
         m = random_flag_rep(l, rng)
         # Each vertex's semi-invariant once per trial; the relations share them.
-        values = {v: s_value(v, m) for v in quiver.vertices}
+        values = {v: s_value(v, m) for v in vertices}
         values[_EMPTY] = Fraction(1)
-        for u in quiver.mutable_vertices:
+        # Every level below the frozen level l is mutable.
+        for u in (v for v in vertices if v.i < l):
             term1, term2 = exchange_terms(u)
             lhs = values[u] * s_prime_value(u, m)
             rhs = math.prod((values[v] for v in term1), start=Fraction(1))
@@ -312,8 +313,10 @@ def verify_group_actions(l, trials=20, seed=0) -> VerifyReport:
     """Torus scaling, unipotent invariance on the dominant half, the central
     swap law, and a generic non-invariance witness for the other unipotent."""
     import random
+    if l < 1:
+        raise ValueError("l must be positive")
     rng = random.Random(seed)
-    quiver, _ = build_diamond(l)
+    vertices = diamond_vertices(l)
     report = VerifyReport("group-actions", trials)
     witness_seen = False
     for t in range(trials):
@@ -326,8 +329,8 @@ def verify_group_actions(l, trials=20, seed=0) -> VerifyReport:
         m_up = m.transform(u_prime=u)
         m_w = m.swap_central()
         # Each vertex's semi-invariant on m once per trial; the laws share them.
-        values = {v: s_value(v, m) for v in quiver.vertices}
-        for v in quiver.vertices:
+        values = {v: s_value(v, m) for v in vertices}
+        for v in vertices:
             base = values[v]
             report.checks += 1
             if s_value(v, m_t) != t1 ** v.j * t2 ** v.k * base:

@@ -79,6 +79,16 @@ def test_enumerate_json_schema(capsys):
     assert payload["count"] == 2
 
 
+def test_enumerate_rejects_lambda_of_another_size(capsys):
+    # |sigma| = 6 but |lambda| = 21: exit 3 like coeff, not an empty point set.
+    code = main(["enumerate", "--sigma", "-1,-1,-1;3,0,1", "--lam", "11,10"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "partitions must have equal size" in captured.err
+    code, out = run_cli(capsys, "enumerate", "--sigma", "-1,-1,-1;3,0,1", "--lam", "4,2")
+    assert code == 0
+
+
 CONE_L2_HREP = """\
 # g-vector cone of the rank-2 diamond quiver
 dim 6

@@ -3,11 +3,12 @@ from collections import Counter
 
 import pytest
 
+from kronquiver import _certificates, engine
 from kronquiver.diamond import PAPER_DIAMOND2_ALIAS, diamond_vertices
 from kronquiver.engine import (KroneckerQuery, cross_validate, kronecker,
                                lambda_weight_of, polytope_counts, section_for,
                                sigma_weight_of, truncated_product)
-from kronquiver.lattice import enumerate_points
+from kronquiver.lattice import PolytopeSection, enumerate_points
 from kronquiver.partitions import (LambdaWeight, Partition, partitions_of,
                                    partitions_to_weight)
 from kronquiver.symfunc import kron_characters
@@ -195,3 +196,61 @@ def test_report_json_shape():
     assert d["g"] == 1 and d["agree"] is True
     assert set(d["methods"]) == {"polytope", "characters", "lr"}
     assert set(d["timings"]) == {"polytope", "characters", "lr"}
+
+
+# ---------------------------------------------------------------------------
+# The certified root box at l = 4.
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_certificate_loader_rejects_a_tampered_entry(monkeypatch, part):
+    # One entry of y (part 0) or of z (part 1) raised by one.
+    key = (4, True, 3, "max")
+    table = dict(_certificates.CERTIFICATES)
+    parts = [p.split() for p in table[key][0].split(" / ")]
+    parts[part][0] = str(int(parts[part][0]) + 1)
+    table[key] = (" / ".join(" ".join(p) for p in parts),) + table[key][1:]
+    monkeypatch.setattr(_certificates, "CERTIFICATES", table)
+    engine._certificates.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="bad dual certificate for l=4 torus=True coordinate 3 max"):
+            engine._certificates(4)
+    finally:
+        engine._certificates.cache_clear()
+
+
+def test_only_rank4_sections_carry_a_root_box():
+    for l in (2, 3, 5):
+        sigma = partitions_to_weight(P(2, 1), P(2, 1), l)
+        assert section_for(sigma).box is None
+        assert section_for(sigma, LambdaWeight(2, 1)).box is None
+    sigma = partitions_to_weight(P(2, 1), P(2, 1), 4)
+    for section in (section_for(sigma), section_for(sigma, LambdaWeight(2, 1))):
+        lo, hi = section.box
+        assert len(lo) == len(hi) == section.dim and None not in lo + hi
+
+
+def test_pool_box_holds_every_point_of_random_rank4_sections():
+    # The scan from the certified box finds exactly the points of the scan
+    # from an all-open box, and every one of them lies in the box.
+    rng = random.Random(41)
+    nonempty = 0
+    for t in range(30):
+        n = rng.randint(1, 10)
+        shapes = list(partitions_of(n, max_length=4))
+        sigma = partitions_to_weight(rng.choice(shapes), rng.choice(shapes), 4)
+        lam = rng.choice(list(partitions_of(n, max_length=2)))
+        boxed = section_for(sigma, LambdaWeight(lam[0], lam[1]) if t % 2 else None)
+        open_box = PolytopeSection(boxed.dim, boxed.ineqs, boxed.equalities)
+        points = enumerate_points(open_box)
+        lo, hi = boxed.box
+        assert all(a <= x <= b for p in points for a, x, b in zip(lo, p, hi))
+        assert enumerate_points(boxed) == points
+        nonempty += len(points) > 0
+    assert nonempty >= 15
+
+
+def test_rank4_ladder_at_k8():
+    report = kronecker(KroneckerQuery.create(P(8, 8, 8, 8), P(8, 8, 8, 8), P(16, 16), 4),
+                       "polytope")
+    assert report.g == 2
+    assert kronecker(report.query, "lr").g == 2

@@ -199,13 +199,14 @@ def test_parse_hrep_rows_after_the_eq_block():
 
 
 def test_closed_root_box_runs_no_lp(monkeypatch):
-    # Propagation closes the root box of these engine sections, so counting
-    # them must not reach exact LP.
+    # Propagation, from the certified pool box at l = 4, closes the root box
+    # of these engine sections, so counting them must not reach exact LP.
     sections = [section_for(partitions_to_weight(Partition(mu), Partition(nu), l), lam)
                 for mu, nu, l, lam in [((2, 1), (2, 1), 2, None), ((4, 1), (3, 2), 2, None),
                                        ((3, 2, 1), (2, 2, 2), 3, None),
                                        ((3, 2, 1), (2, 2, 2), 3, LambdaWeight(4, 2)),
-                                       ((2, 2, 1), (3, 1, 1), 3, LambdaWeight(3, 2))]]
+                                       ((2, 2, 1), (3, 1, 1), 3, LambdaWeight(3, 2)),
+                                       ((5, 5, 5, 5), (5, 5, 5, 5), 4, LambdaWeight(10, 10))]]
     counts = [count_points(s) for s in sections]
 
     def no_lp(*args, **kwargs):
@@ -219,9 +220,10 @@ def test_closed_root_box_runs_no_lp(monkeypatch):
 
 def test_scan_work_is_pinned_on_a_ladder_section(monkeypatch):
     # The lambda-section of the ladder query (5,5,5,5)^2/(10,10) at l = 4:
-    # one root call (no max_rounds), then one call per scan node, of which
-    # 2799 prune the node, for 12 points.  A propagation change that alters
-    # the boxes of this scan shows up here as changed counts.
+    # one root call (no max_rounds) from the certified pool box, then one
+    # call per scan node, of which 38 prune the node, for 12 points.  A
+    # propagation or certificate change that alters the boxes of this scan
+    # shows up here as changed counts.
     calls = {"root": 0, "node": 0, "pruned": 0}
     propagate = linalg.propagate_box
 
@@ -235,4 +237,4 @@ def test_scan_work_is_pinned_on_a_ladder_section(monkeypatch):
     sigma = partitions_to_weight(Partition((5, 5, 5, 5)), Partition((5, 5, 5, 5)), 4)
     points = enumerate_points(section_for(sigma, LambdaWeight(10, 10)))
     assert len(points) == 12
-    assert calls == {"root": 1, "node": 4253, "pruned": 2799}
+    assert calls == {"root": 1, "node": 71, "pruned": 38}
