@@ -4,7 +4,6 @@ tri-broken paths, and the H-representation of its g-vector cone.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cluster import IceQuiver, WeightConfiguration
@@ -170,9 +169,6 @@ class VertexPath:
 
     def __len__(self):
         return len(self.vertices)
-
-    def vertex_counts(self) -> Counter:
-        return Counter(self.vertices)
 
     def validate(self, l: int) -> bool:
         legal = {(s, d, kind) for (s, d, _m, kind) in diamond_arrows(l)}

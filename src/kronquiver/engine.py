@@ -21,8 +21,8 @@ from . import symfunc
 from .diamond import cone_inequalities, sigma_tilde_row
 from .lattice import PolytopeSection, count_points, enumerate_points
 from .linalg import dot
-from .partitions import (LambdaWeight, Partition, Weight, lambda_omega,
-                         partitions_of, partitions_to_weight)
+from .partitions import (Partition, Weight, lambda_omega, partitions_of,
+                         partitions_to_weight)
 
 METHODS = ("polytope", "characters", "lr")
 
@@ -105,12 +105,13 @@ def _certificates(l: int) -> dict:
 
     Keys are ``(torus, i, sense)``: whether the torus rows are among the
     section's equality rows ``E``, a coordinate, and ``"min"`` or ``"max"``.
-    Values are lists of ``(y, z, d)`` triples, read from the table's
-    ``"y / z / d"`` text.  Each must satisfy, in integers,
+    Values are lists of ``(y, d)`` pairs, read from the table's
+    ``"y / z / d"`` text.  Each entry must satisfy, in integers,
     ``E^T y - d e_i = s A^T z`` with ``z >= 0`` and ``d > 0``, where ``A`` holds
     the cone rows and ``s`` is 1 for max and -1 for min.  Weak duality then
     gives ``d g_i <= y . b`` (max) or ``d g_i >= y . b`` (min) on every
-    section with right-hand side ``b``.  A bad entry raises ValueError.
+    section with right-hand side ``b``, so ``z`` is dropped once checked.  A
+    bad entry raises ValueError.
     ``scripts/gen_certificates.py`` writes the table; it is read on the first
     section of rank ``l``, never at import.
     """
@@ -134,7 +135,7 @@ def _certificates(l: int) -> dict:
                             for j, (col, a_col) in columns)):
                 raise ValueError(f"bad dual certificate for l={l} torus={torus} "
                                  f"coordinate {i} {sense}")
-            certs.append((y, z, d))
+            certs.append((y, d))
     return pool
 
 
@@ -151,19 +152,19 @@ def _pool_box(l: int, rhs: tuple):
     for (t, i, sense), certs in pool.items():
         if t == torus:
             if sense == "max":
-                hi[i] = min(dot(y, rhs) // d for y, _, d in certs)
+                hi[i] = min(dot(y, rhs) // d for y, d in certs)
             else:
-                lo[i] = max(-(-dot(y, rhs) // d) for y, _, d in certs)
+                lo[i] = max(-(-dot(y, rhs) // d) for y, d in certs)
     return lo, hi
 
 
-def section_for(sigma: Weight, lam: LambdaWeight | None = None) -> PolytopeSection:
+def section_for(sigma: Weight, lam: tuple[int, int] | None = None) -> PolytopeSection:
     """Cone section with the flag-weight equalities and, optionally, the
-    torus-weight equalities, carrying the certified root box where the rank
-    has a certificate table."""
+    equalities of the torus weight ``lam = (a, b)``, carrying the certified
+    root box where the rank has a certificate table."""
     rhs = sigma.neg + sigma.pos
     if lam is not None:
-        rhs += lam.as_tuple()
+        rhs += lam
     # Without lam, zip stops before the two torus rows.
     return PolytopeSection.from_cone(_cone(sigma.l), zip(_grading(sigma.l), rhs),
                                      _pool_box(sigma.l, rhs))
@@ -171,7 +172,7 @@ def section_for(sigma: Weight, lam: LambdaWeight | None = None) -> PolytopeSecti
 
 def polytope_counts(sigma: Weight, lam: Partition):
     """Lattice counts of the two sections whose difference is the coefficient."""
-    n_lam = count_points(section_for(sigma, LambdaWeight(lam[0], lam[1])))
+    n_lam = count_points(section_for(sigma, (lam[0], lam[1])))
     n_omega = count_points(section_for(sigma, lambda_omega(lam)))
     return n_lam, n_omega
 
@@ -213,9 +214,10 @@ def truncated_product(mu: Partition, nu: Partition, l=None) -> symfunc.SchurExpa
     return symfunc.schur_from_weights(weights)
 
 
-def lambda_weight_of(g, l: int) -> LambdaWeight:
-    """Torus weight of a cone point: pairing with the (j, k) grading rows."""
-    return LambdaWeight(*(dot(row, g) for row in _grading(l)[2 * l:]))
+def lambda_weight_of(g, l: int) -> tuple[int, int]:
+    """Torus weight ``(a, b)`` of a cone point: pairing with the (j, k)
+    grading rows."""
+    return tuple(dot(row, g) for row in _grading(l)[2 * l:])
 
 
 def sigma_weight_of(g, l: int) -> tuple:
@@ -228,7 +230,6 @@ class CrossValidationReport:
     cases: int = 0
     agreements: int = 0
     first_discrepancy: tuple | None = None
-    elapsed: float = 0.0
 
     @property
     def all_agree(self) -> bool:
@@ -236,7 +237,7 @@ class CrossValidationReport:
 
     def to_json_dict(self):
         out = {"cases": self.cases, "agreements": self.agreements,
-               "all_agree": self.all_agree, "elapsed": round(self.elapsed, 3)}
+               "all_agree": self.all_agree}
         if self.first_discrepancy is not None:
             triple, values = self.first_discrepancy
             out["first_discrepancy"] = {
@@ -260,7 +261,6 @@ def _validate_pair(args):
 def cross_validate(n_max: int, l_max: int, jobs: int = 1) -> CrossValidationReport:
     """Triple-oracle agreement over all sizes up to n_max with the stated
     length caps; reports the first discrepancy, if any."""
-    t0 = time.perf_counter()
     report = CrossValidationReport()
     pairs = []
     for n in range(0, n_max + 1):
@@ -284,5 +284,4 @@ def cross_validate(n_max: int, l_max: int, jobs: int = 1) -> CrossValidationRepo
                     (Partition(triple[0]), Partition(triple[1]), Partition(triple[2])),
                     values,
                 )
-    report.elapsed = time.perf_counter() - t0
     return report

@@ -296,39 +296,27 @@ def phi_image(l: int, g) -> dict:
     return _combine((gv, phi_vertex(l, v)) for gv, v in zip(g, diamond_vertices(l)) if gv)
 
 
-def _column_block(cell, l):
-    a, b = cell
-    if cell == (-l, l):
-        return l
-    if a > 0 > b:
-        return abs(a + b)  # 0 on the diagonal, else the j of the source column
-    if a < 0 and b == -a:
-        return -a
-    if b == 0 and a != 0:
-        return abs(a)
-    if a == 0 and b != 0:
-        return abs(b)
-    return None
-
-
 def check_tu_blocks(l: int):
     """Certify total unimodularity of the comparison map: the matrix is block
-    diagonal over the j-grading, and each block passes an exhaustive
+    diagonal over the j-grading of its rows (each column's nonzeros lie in
+    rows of one j, its block), and each block passes an exhaustive
     Ghouila-Houri column-subset test.  Returns (ok, diagnostics)."""
     verts = hex_vertices(l)
     matrix = phi_matrix(l)
     dverts = diamond_vertices(l)
     issues = []
-    used_cols = [c for c in range(len(verts)) if any(row[c] for row in matrix)]
-    for r, v in enumerate(dverts):
-        for c in used_cols:
-            if matrix[r][c] and _column_block(verts[c], l) != v.j:
-                issues.append(f"entry ({v}, {verts[c]}) crosses blocks")
+    block_of = {}
+    for c, cell in enumerate(verts):
+        js = sorted({v.j for v, row in zip(dverts, matrix) if row[c]})
+        if len(js) > 1:
+            issues.append(f"column {cell} crosses blocks j={js}")
+        elif js:
+            block_of[c] = js[0]
     if issues:
         return False, issues
     for j in range(l + 1):
         rows = [r for r, v in enumerate(dverts) if v.j == j]
-        cols = [c for c in used_cols if _column_block(verts[c], l) == j]
+        cols = [c for c, b in block_of.items() if b == j]
         block = [[matrix[r][c] for c in cols] for r in rows]
         if any(abs(x) > 1 for row in block for x in row):
             issues.append(f"block j={j} has an entry outside -1..1")

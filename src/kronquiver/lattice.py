@@ -16,8 +16,6 @@ the section carries.  No floating point anywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from . import linalg
 from .linalg import BOUNDED, INFEASIBLE, UNBOUNDED
 
@@ -61,30 +59,6 @@ class PolytopeSection:
         return all(linalg.dot(a, point) == b for a, b in self.equalities)
 
 
-class LatticePointSet:
-    """Sorted, duplicate-free list of integer points."""
-
-    def __init__(self, points):
-        self.points = tuple(sorted(set(tuple(p) for p in points)))
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __contains__(self, p):
-        p = tuple(p)
-        i = bisect_left(self.points, p)
-        return i < len(self.points) and self.points[i] == p
-
-    def __eq__(self, other):
-        return isinstance(other, LatticePointSet) and self.points == other.points
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in p) for p in self.points) + ("\n" if self.points else "")
-
-
 def diagnose(section: PolytopeSection) -> str:
     """Status of the rational relaxation: bounded, unbounded, or infeasible;
     ``linalg.lp_box`` on a box with every side open, since the section is
@@ -100,8 +74,9 @@ def _terms(a):
 
 
 def _scan(section: PolytopeSection) -> list:
-    """Integer points of the section in scan order.  Raises SectionError on an
-    unbounded section."""
+    """Integer points of the section in scan order, each once: the scan
+    branches on disjoint values.  Raises SectionError on an unbounded
+    section."""
     eq_rows = [a for a, _ in section.equalities]
     eq_rhs = [b for _, b in section.equalities]
     # Certify integer solvability of the equality lattice before scanning.
@@ -147,13 +122,14 @@ def _scan(section: PolytopeSection) -> list:
     return points
 
 
-def enumerate_points(section: PolytopeSection) -> LatticePointSet:
-    """All integer points of the section, sorted lexicographically.
+def enumerate_points(section: PolytopeSection) -> tuple:
+    """All integer points of the section as a tuple of tuples, sorted
+    lexicographically.
 
     Raises SectionError when the rational relaxation is unbounded; an
     infeasible or integer-empty section yields the empty set.
     """
-    return LatticePointSet(_scan(section))
+    return tuple(sorted(_scan(section)))
 
 
 def count_points(section: PolytopeSection) -> int:

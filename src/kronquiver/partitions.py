@@ -113,20 +113,6 @@ def partitions_of(n: int, max_length: int | None = None,
 
 
 @dataclass(frozen=True)
-class LambdaWeight:
-    """A GL2 torus weight (a, b); not necessarily dominant."""
-
-    a: int
-    b: int
-
-    def as_tuple(self):
-        return (self.a, self.b)
-
-    def __str__(self):
-        return f"{self.a},{self.b}"
-
-
-@dataclass(frozen=True)
 class Weight:
     """Flag-vertex weight sigma on the doubled Kronecker quiver of rank l.
 
@@ -182,11 +168,12 @@ def lambda_of_index_set(indices) -> Partition:
     return Partition(i - (r - t) for t, i in enumerate(idx))
 
 
-def lambda_omega(lam: Partition) -> LambdaWeight:
-    """(lam(1)+1, lam(2)-1); the companion weight whose count is subtracted."""
+def lambda_omega(lam: Partition) -> tuple[int, int]:
+    """The GL2 torus weight (lam(1)+1, lam(2)-1) as a pair; the companion
+    weight whose count is subtracted."""
     if lam.length > 2:
         raise ValueError("lambda must have at most two parts")
-    return LambdaWeight(lam[0] + 1, lam[1] - 1)
+    return (lam[0] + 1, lam[1] - 1)
 
 
 def partitions_to_weight(mu: Partition, nu: Partition, l: int) -> Weight:

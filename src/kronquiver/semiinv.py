@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diamond import DiamondVertex, V, diamond_vertices
-from .linalg import det_frac, inverse, mat_mul
+from .linalg import det_frac, identity, inverse, mat_mul
 
 
 @dataclass
 class FlagRep:
-    """Rational matrices of a representation: arm maps B_{-i} (i x (i+1)),
-    B_i ((i+1) x i), and the two central l x l maps."""
+    """Integer or rational matrices of a representation: arm maps B_{-i}
+    (i x (i+1)), B_i ((i+1) x i), and the two central l x l maps."""
 
     l: int
     neg: tuple
@@ -97,7 +97,7 @@ class FlagRep:
 def random_flag_rep(l, rng) -> FlagRep:
     """Representation with random integer entries in [-9, 9]."""
     def m(rows, cols):
-        return [[Fraction(rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+        return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
 
     return FlagRep(l,
                    tuple(m(i, i + 1) for i in range(1, l)),
@@ -108,18 +108,14 @@ def random_flag_rep(l, rng) -> FlagRep:
 def normalized_flag_rep(l, a2) -> FlagRep:
     """General-position normal form: standard arm inclusions/projections and
     identity on the first central arrow."""
-    neg = tuple([[Fraction(int(r == c)) for c in range(i + 1)] for r in range(i)]
-                for i in range(1, l))
-    pos = tuple([[Fraction(int(r == c)) for c in range(i)] for r in range(i + 1)]
-                for i in range(1, l))
-    a1 = [[Fraction(int(r == c)) for c in range(l)] for r in range(l)]
-    return FlagRep(l, neg, pos, a1, [[Fraction(x) for x in row] for row in a2])
+    neg = tuple([row + [0] for row in identity(i)] for i in range(1, l))
+    pos = tuple(identity(i) + [[0] * i] for i in range(1, l))
+    return FlagRep(l, neg, pos, identity(l), a2)
 
 
 def is_normalized(m: FlagRep) -> bool:
     ref = normalized_flag_rep(m.l, m.a2)
-    return m.neg == ref.neg and m.pos == ref.pos and \
-        [list(map(Fraction, r)) for r in m.a1] == ref.a1
+    return m.neg == ref.neg and m.pos == ref.pos and m.a1 == ref.a1
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def eval_schofield(pres: PresentationMatrix, m: FlagRep) -> Fraction:
         raise ValueError(f"substituted matrix is {rows}x{cols}, not square")
     if rows == 0:
         return Fraction(1)
-    full = [[Fraction(0)] * cols for _ in range(rows)]
+    full = [[0] * cols for _ in range(rows)]
     roff = [0]
     for a in pres.dst:
         roff.append(roff[-1] + a)
@@ -321,9 +317,9 @@ def verify_group_actions(l, trials=20, seed=0) -> VerifyReport:
     witness_seen = False
     for t in range(trials):
         m = random_flag_rep(l, rng)
-        t1 = Fraction(rng.randint(1, 9))
-        t2 = Fraction(rng.randint(1, 9))
-        u = Fraction(rng.randint(1, 9))
+        t1 = rng.randint(1, 9)
+        t2 = rng.randint(1, 9)
+        u = rng.randint(1, 9)
         m_t = m.transform(t1=t1, t2=t2)
         m_u = m.transform(u=u)
         m_up = m.transform(u_prime=u)

@@ -285,15 +285,13 @@ def horn_positive(lam: Partition, mu: Partition, nu: Partition, m: int) -> bool:
 
 
 def schur_from_weights(weights) -> SchurExpansion:
-    """Schur expansion of a GL2 polynomial character given as a weight multiset.
+    """Schur expansion of a GL2 polynomial character given as a multiset of
+    weight pairs ``(a, b)``.
 
     Coefficient of s_(a,b) is mult(a,b) - mult(a+1,b-1); rejects multisets
     that are not genuine characters (negative coefficient or failed rebuild).
     """
-    mult = Counter()
-    for w in weights:
-        pair = w.as_tuple() if hasattr(w, "as_tuple") else (int(w[0]), int(w[1]))
-        mult[pair] += 1
+    mult = Counter((a, b) for a, b in weights)
     coeffs = {}
     for (a, b) in sorted(mult):
         if a < b:

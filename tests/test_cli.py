@@ -4,9 +4,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from kronquiver import engine, symfunc
+from kronquiver import cli, engine, symfunc
 from kronquiver.cli import main
-from kronquiver.lattice import parse_hrep
+from kronquiver.lattice import SectionError, parse_hrep
+from kronquiver.linalg import UNBOUNDED
 from kronquiver.partitions import partitions_of
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
@@ -268,6 +269,26 @@ def test_internal_check_failure_exits_4(capsys, monkeypatch, method):
     assert code == 4
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("target, name, argv", [
+    (engine, "count_points",
+     ("coeff", "--mu", "2,1", "--nu", "2,1", "--lam", "2,1", "--method", "polytope")),
+    (engine, "enumerate_points", ("truncated", "--mu", "2,1", "--nu", "2,1")),
+    (cli, "enumerate_points", ("enumerate", "--sigma", "-1,-1;1,1", "--lam", "2,1")),
+])
+def test_unbounded_section_exits_3(capsys, monkeypatch, target, name, argv):
+    # An unbounded section is an invariant violation on every command that
+    # scans: exit 3 with the message, no traceback, no stdout.
+    def unbounded(section):
+        raise SectionError(UNBOUNDED, "coordinate 0 has no finite max")
+
+    monkeypatch.setattr(target, name, unbounded)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: section is unbounded: coordinate 0 has no finite max\n"
 
 
 @pytest.mark.parametrize("argv", [

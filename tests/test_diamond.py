@@ -19,7 +19,7 @@ def test_vertex_canonicalization():
         V(1, 2, 2, 1)
 
 
-def test_vertex_counts_and_frozen_sets():
+def test_vertex_and_frozen_set_sizes():
     for l in range(1, 7):
         q, _ = build_diamond(l)
         assert len(q.vertices) == l * (l + 1)
@@ -83,7 +83,7 @@ def test_tri_broken_path_worked_example():
     assert [str(v) for v in p.vertices] == [
         "(4;3,1)+", "(3;2,1)+", "(2;1,1)+", "(1;0,1)+",
         "(1;1,0)+", "(2;1,1)+", "(3;1,2)+", "(4;1,3)+"]
-    assert p.vertex_counts()[V(1, 2, 1, 1)] == 2
+    assert p.vertices.count(V(1, 2, 1, 1)) == 2
     assert len(p) == 2 * 3 + 1 + 1
     assert p.validate(4)
 

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from kronquiver import fanhex
 from kronquiver.cluster import LaurentPoly
 from kronquiver.diamond import V, diamond_vertices, sigma_tilde_row
 from kronquiver.engine import section_for
@@ -120,6 +121,22 @@ def test_tu_blocks():
     for l in (1, 2, 3):
         ok, issues = check_tu_blocks(l)
         assert ok, (l, issues)
+
+
+def test_tu_blocks_report_a_column_that_crosses_blocks(monkeypatch):
+    # Each column's block is read off the rows it touches, so a column with
+    # nonzeros in rows of two different j breaks the block structure.
+    matrix = [list(row) for row in phi_matrix(2)]
+    js = [v.j for v in diamond_vertices(2)]
+    c = next(c for c in range(len(matrix[0])) if any(row[c] for row in matrix))
+    (block,) = {j for j, row in zip(js, matrix) if row[c]}
+    r = next(r for r, j in enumerate(js) if j != block)
+    matrix[r][c] = 1
+    monkeypatch.setattr(fanhex, "phi_matrix", lambda l: matrix)
+    ok, issues = check_tu_blocks(2)
+    assert not ok
+    assert issues == [f"column {hex_vertices(2)[c]} crosses blocks "
+                      f"j={sorted((block, js[r]))}"]
 
 
 def test_tu_random_minor_spot_checks():

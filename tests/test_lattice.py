@@ -6,13 +6,12 @@ import pytest
 from kronquiver import linalg
 from kronquiver.diamond import cone_inequalities
 from kronquiver.engine import section_for, lambda_weight_of
-from kronquiver.lattice import (BOUNDED, LatticePointSet, PolytopeSection,
-                                SectionError, count_points, diagnose,
-                                enumerate_points, parse_hrep,
-                                section_to_hrep)
+from kronquiver.lattice import (BOUNDED, PolytopeSection, SectionError,
+                                count_points, diagnose, enumerate_points,
+                                parse_hrep, section_to_hrep)
 from kronquiver.linalg import INFEASIBLE, UNBOUNDED
-from kronquiver.partitions import (LambdaWeight, Partition, Weight,
-                                   partitions_of, partitions_to_weight)
+from kronquiver.partitions import (Partition, Weight, partitions_of,
+                                   partitions_to_weight)
 
 
 def box_scan_oracle(section):
@@ -123,7 +122,7 @@ def test_count_matches_enumeration():
         mu, nu = rng.choice(pool), rng.choice(pool)
         lam = rng.choice([p for p in partitions_of(n, max_length=2)])
         sigma = partitions_to_weight(mu, nu, 3)
-        section = section_for(sigma, LambdaWeight(lam[0], lam[1]))
+        section = section_for(sigma, (lam[0], lam[1]))
         assert count_points(section) == len(enumerate_points(section))
 
 
@@ -135,8 +134,8 @@ def test_count_symmetry_under_weight_swap():
         mu, nu = rng.choice(pool), rng.choice(pool)
         sigma = partitions_to_weight(mu, nu, 2)
         for lam in partitions_of(n, max_length=2):
-            straight = count_points(section_for(sigma, LambdaWeight(lam[0], lam[1])))
-            swapped = count_points(section_for(sigma, LambdaWeight(lam[1], lam[0])))
+            straight = count_points(section_for(sigma, (lam[0], lam[1])))
+            swapped = count_points(section_for(sigma, (lam[1], lam[0])))
             assert straight == swapped, (mu, nu, lam)
 
 
@@ -148,16 +147,9 @@ def test_points_sorted_and_verified():
     assert all(section.contains(g) for g in pts)
 
 
-def test_lattice_point_set_text():
-    s = LatticePointSet([(1, 0), (0, 2)])
-    assert s.to_text() == "0 2\n1 0\n"
-    assert (1, 0) in s and (5, 5) not in s
-    assert LatticePointSet([]).to_text() == ""
-
-
 def test_hrep_round_trip():
     sigma = partitions_to_weight(Partition((2, 1)), Partition((2, 1)), 2)
-    section = section_for(sigma, LambdaWeight(2, 1))
+    section = section_for(sigma, (2, 1))
     text = section_to_hrep(section, comment="rank-2 section")
     back = parse_hrep(text)
     assert back.dim == section.dim
@@ -204,9 +196,9 @@ def test_closed_root_box_runs_no_lp(monkeypatch):
     sections = [section_for(partitions_to_weight(Partition(mu), Partition(nu), l), lam)
                 for mu, nu, l, lam in [((2, 1), (2, 1), 2, None), ((4, 1), (3, 2), 2, None),
                                        ((3, 2, 1), (2, 2, 2), 3, None),
-                                       ((3, 2, 1), (2, 2, 2), 3, LambdaWeight(4, 2)),
-                                       ((2, 2, 1), (3, 1, 1), 3, LambdaWeight(3, 2)),
-                                       ((5, 5, 5, 5), (5, 5, 5, 5), 4, LambdaWeight(10, 10))]]
+                                       ((3, 2, 1), (2, 2, 2), 3, (4, 2)),
+                                       ((2, 2, 1), (3, 1, 1), 3, (3, 2)),
+                                       ((5, 5, 5, 5), (5, 5, 5, 5), 4, (10, 10))]]
     counts = [count_points(s) for s in sections]
 
     def no_lp(*args, **kwargs):
@@ -235,6 +227,6 @@ def test_scan_work_is_pinned_on_a_ladder_section(monkeypatch):
 
     monkeypatch.setattr(linalg, "propagate_box", counted)
     sigma = partitions_to_weight(Partition((5, 5, 5, 5)), Partition((5, 5, 5, 5)), 4)
-    points = enumerate_points(section_for(sigma, LambdaWeight(10, 10)))
+    points = enumerate_points(section_for(sigma, (10, 10)))
     assert len(points) == 12
     assert calls == {"root": 1, "node": 71, "pruned": 38}

@@ -1,6 +1,6 @@
 import pytest
 
-from kronquiver.partitions import (LambdaWeight, Partition, Weight,
+from kronquiver.partitions import (Partition, Weight,
                                    lambda_of_index_set, lambda_omega,
                                    partitions_of, partitions_to_weight,
                                    weight_to_partitions)
@@ -62,9 +62,9 @@ def test_lambda_of_index_set():
 
 
 def test_lambda_omega():
-    assert lambda_omega(P(2, 1)) == LambdaWeight(3, 0)
-    assert lambda_omega(P(1, 1)) == LambdaWeight(2, 0)
-    assert lambda_omega(P(3)) == LambdaWeight(4, -1)
+    assert lambda_omega(P(2, 1)) == (3, 0)
+    assert lambda_omega(P(1, 1)) == (2, 0)
+    assert lambda_omega(P(3)) == (4, -1)
     with pytest.raises(ValueError):
         lambda_omega(P(2, 1, 1))
 
