@@ -230,7 +230,7 @@ def cmd_verify(args):
         ok, issues = fanhex.check_tu_blocks(args.l)
         payload = {"relation": "tu-blocks", "l": args.l, "ok": ok, "issues": issues}
     else:  # cross; argparse admits no other suite
-        jobs = args.jobs or os.cpu_count() or 1
+        jobs = args.jobs or _available_cpus()
         report = engine.cross_validate(args.n_max, args.l_max, jobs)
         payload = report.to_json_dict()
         ok = report.all_agree
@@ -240,6 +240,14 @@ def cmd_verify(args):
         return "\n".join(lines) + "\n"
 
     return (EXIT_OK if ok else EXIT_DISAGREE), _emit(payload, fmt, text)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform
+    has one, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def build_parser():

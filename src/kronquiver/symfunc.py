@@ -2,10 +2,9 @@
 by direct tableau backtracking, symmetric-group characters by border-strip
 recursion, and the LR-based two-row Kronecker formula.
 
-All arithmetic is exact (Python integers / Fractions).  LR coefficients,
-characters and multiple LR products are memoized in module dictionaries
-that live only as long as the process; nothing is read from or written to
-disk.
+All arithmetic is exact (Python integers / Fractions).  LR coefficients and
+characters are memoized in module dictionaries that live only as long as
+the process; nothing is read from or written to disk.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .partitions import Partition, lambda_of_index_set, partitions_of
 
 _LR_MEMO: dict = {}
 _MN_MEMO: dict = {}
-_MULTI_LR_MEMO: dict = {}
 
 
 class SchurExpansion:
@@ -122,24 +120,14 @@ def _schur_product_into(expansion, eta, inside):
 
 
 def multi_lr(etas, lam: Partition) -> int:
-    """Multiplicity of S_lam in the tensor product of the S_eta; computed by
-    iterated LR convolution (order-independent)."""
-    etas = tuple(etas)
-    key = (tuple(e.parts for e in etas), lam.parts)
-    hit = _MULTI_LR_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if sum(e.size for e in etas) != lam.size:
-        _MULTI_LR_MEMO[key] = 0
-        return 0
-    expansion = {Partition(): 1}
-    for eta in etas:
+    """Multiplicity of S_lam in the tensor product of the S_eta (in any
+    order): all but the last factor are multiplied out by LR convolution
+    inside lam, and the last is read off at lam alone."""
+    first, *middle, last = [Partition()] * (2 - len(etas)) + list(etas)  # s_() = 1
+    expansion = {first: 1}
+    for eta in middle:
         expansion = _schur_product_into(expansion, eta, lam)
-        if not expansion:
-            break
-    result = expansion.get(lam, 0)
-    _MULTI_LR_MEMO[key] = result
-    return result
+    return sum(c * lr_coeff(lam, kappa, last) for kappa, c in expansion.items())
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
@@ -192,54 +180,17 @@ def kron_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
     return int(total)
 
 
-def _weyl_ok(target: Partition, e1: Partition, e2: Partition) -> bool:
-    # Weyl inequalities target(a+b-1) <= e1(a) + e2(b): necessary for the LR
-    # coefficient c_{e1,e2}^target to be nonzero.
-    for a in range(1, e1.length + 2):
-        for b in range(1, e2.length + 2):
-            if a + b - 1 > target.length:
-                break
-            if target[a + b - 2] > e1[a - 1] + e2[b - 1]:
-                return False
-    return True
-
-
-def a_k(mu: Partition, nu: Partition, k: int, prune: bool = True) -> int:
-    """Sum of c_{eta1,eta2}^mu * c_{eta1,eta2}^nu over |eta1| = k, |eta2| = n-k."""
-    n = mu.size
-    if nu.size != n:
-        raise ValueError("partitions must have equal size")
-    if k < 0 or k > n:
-        return 0
-    total = 0
-    for eta1 in partitions_of(k):
-        if prune and not (mu.contains(eta1) and nu.contains(eta1)):
-            continue
-        for eta2 in partitions_of(n - k):
-            if prune and not (mu.contains(eta2) and nu.contains(eta2)):
-                continue
-            if prune and not (_weyl_ok(mu, eta1, eta2) and _weyl_ok(nu, eta1, eta2)):
-                continue
-            c1 = lr_coeff(mu, eta1, eta2)
-            if not c1:
-                continue
-            c2 = lr_coeff(nu, eta1, eta2)
-            total += c1 * c2
-    return total
-
-
 def kron_via_lr(lam: Partition, mu: Partition, nu: Partition, m: int = 2,
                 prune: bool = True) -> int:
     """Kronecker coefficient via the signed sum of multiple LR products over
-    row permutations; requires lam to have at most m rows."""
+    row permutations; requires lam to have at most m rows.  At m = 2 this is
+    a_{lam(1)} - a_{lam(1)+1}, the sums of c_{eta1,eta2}^mu c_{eta1,eta2}^nu
+    over |eta1| = lam(1) and lam(1) + 1."""
     if lam.length > m:
         raise ValueError(f"lambda has more than {m} rows")
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("partitions must have equal size")
-    if m == 2:
-        return a_k(mu, nu, lam[0], prune) - a_k(mu, nu, lam[0] + 1, prune)
-
     total = 0
     for omega in permutations(range(1, m + 1)):
         sizes = [lam[i - 1] - i + omega[i - 1] for i in range(1, m + 1)]

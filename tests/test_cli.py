@@ -140,6 +140,30 @@ def test_verify_suites(capsys):
     assert payload["all_agree"]
 
 
+@pytest.mark.parametrize("affinity, cpu_count, jobs", [
+    ({0, 2, 5}, 8, 3),     # the affinity mask, not the host's CPU count
+    (None, 8, 8),          # no affinity call on this platform
+    (None, None, 1),       # nor a CPU count
+])
+def test_cross_jobs_default_to_usable_cpus(monkeypatch, capsys, affinity, cpu_count, jobs):
+    seen = []
+    cross_validate = engine.cross_validate
+
+    def record(n_max, l_max, j):
+        seen.append(j)
+        return cross_validate(n_max, l_max, 1)
+
+    monkeypatch.setattr(engine, "cross_validate", record)
+    if affinity is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
+    code, out = run_cli(capsys, "verify", "cross", "--n-max", "2", "--l-max", "2")
+    assert code == 0 and json.loads(out)["all_agree"]
+    assert seen == [jobs]
+
+
 def test_hilbert(capsys):
     code, out = run_cli(capsys, "hilbert", "diamond2", "--format", "json")
     assert code == 0

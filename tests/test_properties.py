@@ -1,12 +1,14 @@
-"""Property tests: random triples beyond the fixed acceptance cases, and the
+"""Property tests: random triples beyond the fixed acceptance cases, the
+truncated product and the Kronecker semigroup against the lr oracle, and the
 rectangular ladder at l = 4."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronquiver.engine import KroneckerQuery, kronecker
+from kronquiver.engine import KroneckerQuery, kronecker, truncated_product
 from kronquiver.partitions import Partition, partitions_of
+from kronquiver.symfunc import kron_via_lr
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -62,7 +64,46 @@ def test_rank_stability_from_l3_to_the_certified_l4(triple):
     assert at3.g == at4.g, (at3.counts, at4.counts)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@st.composite
+def pairs(draw):
+    """(mu, nu, l): |mu| = |nu| = n <= 10, both with at most l <= 4 rows."""
+    l = draw(st.integers(1, 4))
+    shapes = list(partitions_of(draw(st.integers(1, 10)), max_length=l))
+    return draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes)), l
+
+
+@settings(PROPERTY, max_examples=40)
+@given(pairs())
+def test_truncated_product_is_the_sum_of_lr_coefficients(pair):
+    mu, nu, l = pair
+    expected = {lam: kron_via_lr(lam, mu, nu)
+                for lam in partitions_of(mu.size, max_length=2)}
+    assert truncated_product(mu, nu, l).coeffs == {p: g for p, g in expected.items() if g}
+
+
+@st.composite
+def lr_triples(draw):
+    """(lambda, mu, nu): |lambda| = |mu| = |nu| = n <= 8, mu and nu with at
+    most four rows, lambda with at most two."""
+    n = draw(st.integers(0, 8))
+    shapes = list(partitions_of(n, max_length=4))
+    lam = draw(st.sampled_from(list(partitions_of(n, max_length=2))))
+    return lam, draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+
+
+def _row_sum(p, q):
+    return Partition(p[i] + q[i] for i in range(max(p.length, q.length)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lr_triples(), lr_triples())
+def test_kronecker_semigroup(a, b):
+    # g(a) > 0 and g(b) > 0 imply g(a + b) > 0 (Christandl-Harrow-Mitchison)
+    if kron_via_lr(*a) > 0 and kron_via_lr(*b) > 0:
+        assert kron_via_lr(*map(_row_sum, a, b)) > 0
+
+
+@pytest.mark.parametrize("k", range(1, 13))
 def test_rectangular_ladder_matches_lr(k):
     """(k^4)^2 / (2k, 2k) at l = 4, by the polytope method and the lr oracle."""
     rect = Partition((k,) * 4)

@@ -5,9 +5,8 @@ from itertools import permutations
 import pytest
 
 from kronquiver.partitions import Partition, partitions_of
-from kronquiver.symfunc import (a_k, horn_positive, kron_characters, kron_via_lr,
-                                lr_coeff, mn_character, multi_lr, schur_from_weights,
-                                zed)
+from kronquiver.symfunc import (horn_positive, kron_characters, kron_via_lr, lr_coeff,
+                                mn_character, multi_lr, schur_from_weights, zed)
 
 
 def P(*parts):
@@ -52,6 +51,18 @@ def test_multi_lr_matches_lr_for_pairs():
                 for e2 in partitions_of(n - k, max_length=3):
                     for lam in partitions_of(n, max_length=4):
                         assert multi_lr([e1, e2], lam) == lr_coeff(lam, e1, e2)
+
+
+def test_multi_lr_matches_lr_for_triples():
+    # s_e1 s_e2 s_e3 = sum over kappa of c_{e1,e2}^kappa s_kappa s_e3
+    pool = [p for n in range(0, 4) for p in partitions_of(n, max_length=2)]
+    for e1 in pool:
+        for e2 in pool:
+            for e3 in pool:
+                for lam in partitions_of(e1.size + e2.size + e3.size, max_length=4):
+                    expected = sum(lr_coeff(kappa, e1, e2) * lr_coeff(lam, kappa, e3)
+                                   for kappa in partitions_of(e1.size + e2.size))
+                    assert multi_lr([e1, e2, e3], lam) == expected
 
 
 def test_multi_lr_order_independent():
@@ -139,22 +150,24 @@ def brute_force_a_k(mu, nu, k):
 
 def test_a_k_examples():
     for n in (1, 2, 5):
-        assert a_k(P(n), P(n), n) == 1
-    assert a_k(P(2, 1), P(2, 1), 2) == 2
-    assert a_k(P(2, 1), P(2, 1), 2) == brute_force_a_k(P(2, 1), P(2, 1), 2)
-    assert a_k(P(2, 1), P(2, 1), 5) == 0
-    assert a_k(P(2, 1), P(2, 1), -1) == 0
+        assert brute_force_a_k(P(n), P(n), n) == 1
+    assert brute_force_a_k(P(2, 1), P(2, 1), 2) == 2
+    assert brute_force_a_k(P(2, 1), P(2, 1), 5) == 0
+    assert brute_force_a_k(P(2, 1), P(2, 1), -1) == 0
 
 
 def test_a_k_prune_preserving():
+    # at m = 2, g = a_{lam(1)} - a_{lam(1)+1}
     rng = random.Random(3)
     for _ in range(60):
         n = rng.randint(1, 7)
         pool = list(partitions_of(n, max_length=4))
         mu, nu = rng.choice(pool), rng.choice(pool)
         k = rng.randint(0, n)
-        assert a_k(mu, nu, k, prune=True) == a_k(mu, nu, k, prune=False)
-        assert a_k(mu, nu, k) == brute_force_a_k(mu, nu, k)
+        lam = P(max(k, n - k), min(k, n - k))
+        g = kron_via_lr(lam, mu, nu, prune=True)
+        assert g == kron_via_lr(lam, mu, nu, prune=False)
+        assert g == brute_force_a_k(mu, nu, lam[0]) - brute_force_a_k(mu, nu, lam[0] + 1)
 
 
 def test_lemma_g2_family_vanishing_tail():
@@ -162,7 +175,7 @@ def test_lemma_g2_family_vanishing_tail():
     cases = [((3, 1), P(5, 4, 3), P(4, 3, 2, 2, 1)),
              ((4, 1), P(6, 5, 4), P(5, 4, 3, 2, 1))]
     for (j, k), mu, nu in cases:
-        assert a_k(mu, nu, 3 * j + 1) == 0
+        assert brute_force_a_k(mu, nu, 3 * j + 1) == 0
         assert kron_via_lr(Partition((3 * j, 3 * k)), mu, nu) == 2
 
 
