@@ -1,7 +1,7 @@
 """Regenerate ``src/kronquiver/_certificates.py``, the LP dual certificates
 that bound the root box of every rank-4 engine section.
 
-Run from the repository root (about four minutes on a 2-vCPU host):
+Run from the repository root (about 5 s on a 2-vCPU host):
 
     PYTHONPATH=src python3 scripts/gen_certificates.py
 

@@ -2,12 +2,16 @@
 integer lattice solving, interval propagation, LP bounds and LP dual
 certificates for integer boxes, and a two-phase simplex over the rationals.
 
-This is the package's one home for Fraction elimination: ``rank``,
-``inverse`` and both simplex phases are built on the Gauss-Jordan step
-``_pivot``, and ``det_frac`` eliminates forward only; ``lp_box`` prices every
-objective into one phase 1 tableau, and ``dual_certificate`` solves the dual
-LP of one side of a cone section with ``solve_lp``.  ``solve_integer_system``
-uses unimodular integer column operations instead.  ``propagate_box`` takes
+Elimination runs on integer rows: a row is a pair ``(a, d)`` of a list of
+ints and a denominator ``d > 0``, meaning ``a / d``, kept in lowest terms
+(``_row`` builds one from int or Fraction values).  ``rank``, ``inverse`` and
+both simplex phases are built on the Gauss-Jordan step ``_pivot``, and
+``det_frac`` is the fraction-free Bareiss forward pass; ``Fraction`` appears
+only at the edges (inputs, the simplex ratio test, LP values and points,
+``inverse`` rows and determinants).  ``lp_box`` prices every objective into
+one phase 1 tableau, and ``dual_certificate`` solves the dual LP of one side
+of a cone section with ``solve_lp``.  ``solve_integer_system`` uses
+unimodular integer column operations instead.  ``propagate_box`` takes
 sparse rows ``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``,
 whose terms are the nonzero ``(index, coeff)`` pairs only: a zero coefficient
 would divide by zero.  No floating point is used anywhere.
@@ -34,28 +38,49 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _row(values):
+    """The integer row ``(a, d)`` of int or Fraction ``values``: ``d`` is the
+    lcm of their denominators, so ``a / d`` is already in lowest terms."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _norm(a, d):
+    """The row ``a / d`` in lowest terms with a positive denominator."""
+    g = -math.gcd(d, *a) if d < 0 else math.gcd(d, *a)
+    return (a, d) if g == 1 else ([x // g for x in a], d // g)
+
+
+def _clear(row, prow, c):
+    """``row - row[c] * prow`` on integer rows, where ``prow`` is 1 in
+    column ``c``."""
+    (b, e), (ra, rd) = row, prow
+    f = b[c]
+    return _norm([x * rd - f * y for x, y in zip(b, ra)], e * rd)
+
+
 def _pivot(t, r, c):
-    """Gauss-Jordan step on the Fraction rows ``t``: scale row ``r`` so that
-    ``t[r][c] == 1``, then clear column ``c`` from every other row."""
-    piv = t[r][c]
-    row = t[r] = [v / piv for v in t[r]]
-    for i, other in enumerate(t):
-        if i != r and other[c]:
-            f = other[c]
-            t[i] = [a - f * b for a, b in zip(other, row)]
+    """Gauss-Jordan step on the integer rows ``t``: scale row ``r`` so that it
+    is 1 in column ``c``, then clear column ``c`` from every other row.  Rows
+    are replaced, never edited."""
+    a = t[r][0]
+    prow = t[r] = _norm(a, a[c])
+    for i, row in enumerate(t):
+        if i != r and row[0][c]:
+            t[i] = _clear(row, prow, c)
 
 
 def det_frac(m) -> Fraction:
     """Exact determinant of a square matrix with integer or Fraction entries.
 
-    Forward elimination only: a full Gauss-Jordan sweep would also clear the
-    rows above each pivot, which a determinant does not need.
+    Bareiss's fraction-free forward pass on the rows scaled to integers: each
+    step divides exactly by the previous pivot, and the row scales are
+    divided back out at the end.
     """
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
+    rows = [_row(row) for row in m]
+    a = [r for r, _ in rows]
+    sign, prev = 1, 1
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c]), None)
         if piv is None:
@@ -63,24 +88,22 @@ def det_frac(m) -> Fraction:
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
             sign = -sign
+        p, top = a[c][c], a[c]
         for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] / a[c][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
+            f = a[r][c]
+            a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return Fraction(sign * prev, math.prod(d for _, d in rows))
 
 
 def _reduce(a, ncols):
-    """Bring the Fraction rows ``a`` to reduced row echelon form in their
+    """Bring the integer rows ``a`` to reduced row echelon form in their
     first ``ncols`` columns, in place; returns the number of pivots."""
     r = 0
     for c in range(ncols):
         if r == len(a):
             break
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        piv = next((i for i in range(r, len(a)) if a[i][0][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
@@ -91,18 +114,17 @@ def _reduce(a, ncols):
 
 def rank(m):
     """Rank of a matrix with integer or Fraction entries."""
-    a = [[Fraction(x) for x in row] for row in m]
-    return _reduce(a, len(a[0]) if a else 0)
+    return _reduce([_row(row) for row in m], len(m[0]) if m else 0)
 
 
 def inverse(m):
     """Inverse of a square matrix as Fraction rows; raises ZeroDivisionError
     when the matrix is singular."""
     n = len(m)
-    a = [[Fraction(x) for x in (*row, *e)] for row, e in zip(m, identity(n))]
+    a = [_row([*row, *e]) for row, e in zip(m, identity(n))]
     if _reduce(a, n) < n:
         raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in a]
+    return [[Fraction(x, d) for x in row[n:]] for row, d in a]
 
 
 def _ext_gcd(a, b):
@@ -276,15 +298,17 @@ def _simplex(t, basis, first, stop):
     """Minimize the objective in the last row of the tableau ``t`` by Bland's
     rule, pricing columns ``first`` to ``stop - 1``.  Only the first
     ``len(basis)`` rows are constraints, and a row whose basic column lies
-    below ``first`` defines a free variable: it never leaves."""
+    below ``first`` defines a free variable: it never leaves.  Signs read off
+    a row's integers, and a ratio within one row drops its denominator."""
     while True:
-        obj = t[-1]
+        obj = t[-1][0]
         enter = next((j for j in range(first, stop) if obj[j] < 0), None)
         if enter is None:
             return OPTIMAL
         # Least ratio, ties to the least basic column (Bland).
-        ratios = [(t[i][-1] / t[i][enter], basis[i], i) for i in range(len(basis))
-                  if t[i][enter] > 0 and basis[i] >= first]
+        ratios = [(Fraction(a[-1], a[enter]), basis[i], i)
+                  for i, (a, _) in enumerate(t[:len(basis)])
+                  if a[enter] > 0 and basis[i] >= first]
         if not ratios:
             return UNBOUNDED
         leave = min(ratios)[2]
@@ -302,39 +326,40 @@ def _phase1(n, ge_rows, ge_rhs, eq_rows, eq_rhs):
     rows = ge + list(zip(eq_rows, eq_rhs))
     m = len(rows)
     width = n + len(ge)
-    t = [[Fraction(v) for v in coeffs] + [Fraction(-(i == k)) for k in range(len(ge))]
-         + [Fraction(b)] for i, (coeffs, b) in enumerate(rows)]
+    t = [_row([*coeffs, *(-(i == k) for k in range(len(ge))), b])
+         for i, (coeffs, b) in enumerate(rows)]
 
     # Pivot every free variable into the basis.  Its column is then zero in
     # every other row, so the rows left over constrain the surplus columns
     # alone, and a free column that found no row is zero in all of them.
     basis = [None] * m
     for j in range(n):
-        r = next((i for i in range(m) if basis[i] is None and t[i][j]), None)
+        r = next((i for i in range(m) if basis[i] is None and t[i][0][j]), None)
         if r is not None:
             _pivot(t, r, j)
             basis[r] = j
     rest = [i for i in range(m) if basis[i] is None]
-    for i, row in enumerate(t):
-        if basis[i] is None and row[-1] < 0:
-            row = [-v for v in row]
-        t[i] = row[:-1] + [Fraction(0)] * len(rest) + row[-1:]
+    for i, (a, d) in enumerate(t):
+        if basis[i] is None and a[-1] < 0:
+            a = [-v for v in a]
+        t[i] = (a[:-1] + [0] * len(rest) + a[-1:], d)
 
-    # Minimize the sum of artificials, starting from them as basis.
+    # Minimize the sum of artificials, starting from them as basis; an
+    # artificial's unit entry in a row over d is d.
     stop = width + len(rest)
-    t.append([Fraction(0)] * width + [Fraction(1)] * len(rest) + [Fraction(0)])
+    t.append(([0] * width + [1] * len(rest) + [0], 1))
     for k, i in enumerate(rest):
-        t[i][width + k] = Fraction(1)
+        t[i][0][width + k] = t[i][1]
         _pivot(t, i, width + k)
         basis[i] = width + k
     _simplex(t, basis, n, stop)
-    if t.pop()[-1] != 0:
+    if t.pop()[0][-1] != 0:
         return None
 
     # Drive leftover artificials out of the basis where possible.
     for i in rest:
         if basis[i] >= width:
-            enter = next((j for j in range(n, width) if t[i][j]), None)
+            enter = next((j for j in range(n, width) if t[i][0][j]), None)
             if enter is not None:
                 _pivot(t, i, enter)
                 basis[i] = enter
@@ -346,20 +371,19 @@ def _phase2(t, basis, width, objective, sense):
     copy; the tableau stays reusable because ``_pivot`` replaces rows and
     never edits them."""
     n = len(objective)
-    obj = [Fraction(-c if sense == "max" else c) for c in objective]
-    obj += [Fraction(0)] * (len(t[0]) - n if t else 1)
+    obj = _row([-c if sense == "max" else c for c in objective]
+               + [0] * (len(t[0][0]) - n if t else 1))
     for row, j in zip(t, basis):
-        f = obj[j]
-        if f:
-            obj = [a - f * b for a, b in zip(obj, row)]
+        if obj[0][j]:
+            obj = _clear(obj, row, j)
     t, basis = t + [obj], basis[:]
 
     # A nonbasic free column touches only the free rows, so a nonzero reduced
     # cost there moves the objective without bound.  Artificial columns stay
     # out: pricing stops at ``width``.
-    if any(obj[:n]) or _simplex(t, basis, n, width) == UNBOUNDED:
+    if any(obj[0][:n]) or _simplex(t, basis, n, width) == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    basic = {j: row[-1] for row, j in zip(t, basis)}
+    basic = {j: Fraction(a[-1], d) for (a, d), j in zip(t, basis)}
     point = [basic.get(j, Fraction(0)) for j in range(n)]
     return LPResult(OPTIMAL, dot(objective, point), tuple(point))
 

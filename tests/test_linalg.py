@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,12 +6,13 @@ from itertools import combinations, product
 
 import pytest
 
-from kronquiver import linalg
+from kronquiver import engine, lattice, linalg
 from kronquiver.linalg import (BOUNDED, INFEASIBLE, OPTIMAL, UNBOUNDED, det_frac,
                                dot, dual_certificate, identity, inverse, lp_box,
                                lp_feasible,
                                mat_mul, propagate_box, rank,
                                solve_integer_system, solve_lp)
+from kronquiver.partitions import partitions_of, partitions_to_weight
 
 
 def laplace_det(m):
@@ -88,9 +90,10 @@ def brute_force_optimum(objective, ge, ge_rhs, eq, eq_rhs, sense):
     return best
 
 
-def test_random_bounded_lps_match_the_best_vertex():
+def random_bounded_lps():
+    """300 seeded LPs in 2-3 variables, each inside a box: ``(objective, ge,
+    ge_rhs, eq, eq_rhs, sense)``."""
     rng = random.Random(5)
-    seen = {OPTIMAL: 0, INFEASIBLE: 0}
     for _ in range(300):
         n = rng.randint(2, 3)
         # A box keeps every instance bounded, so a feasible one has a vertex.
@@ -105,7 +108,12 @@ def test_random_bounded_lps_match_the_best_vertex():
             eq.append(row)
             eq_rhs.append(rng.randint(-2, 2))
         objective = [rng.randint(-3, 3) for _ in range(n)]
-        sense = rng.choice(["min", "max"])
+        yield objective, ge, ge_rhs, eq, eq_rhs, rng.choice(["min", "max"])
+
+
+def test_random_bounded_lps_match_the_best_vertex():
+    seen = {OPTIMAL: 0, INFEASIBLE: 0}
+    for objective, ge, ge_rhs, eq, eq_rhs, sense in random_bounded_lps():
         res = solve_lp(objective, ge, ge_rhs, eq, eq_rhs, sense=sense)
         best = brute_force_optimum(objective, ge, ge_rhs, eq, eq_rhs, sense)
         if best is None:
@@ -117,6 +125,45 @@ def test_random_bounded_lps_match_the_best_vertex():
             assert all(dot(r, res.point) == h for r, h in zip(eq, eq_rhs))
         seen[res.status] += 1
     assert min(seen.values()) > 10, seen
+
+
+def test_phase1_rows_are_integer_rows_in_lowest_terms():
+    # A tableau row is (a, d), meaning a / d: ints, d > 0, gcd(d, *a) == 1.
+    feasible = 0
+    for objective, ge, ge_rhs, eq, eq_rhs, sense in random_bounded_lps():
+        res = linalg._phase1(len(objective), ge, ge_rhs, eq, eq_rhs)
+        if res is None:
+            continue
+        feasible += 1
+        for a, d in res[0]:
+            assert all(type(x) is int for x in (*a, d))
+            assert d > 0 and math.gcd(d, *a) == 1, (a, d)
+    assert feasible > 100
+
+
+# The (row, column) sequence of every _pivot over the 22 irredundancy LPs of
+# the rank-3 cone rows, then diagnose on each l = 2 sigma-section with
+# |mu| = |nu| <= 5: Bland's rule must pick the same pivots whatever the
+# tableau's number representation.
+PIVOTS_PINNED = 1621
+PIVOTS_SHA1 = "57e6471200dad394c0fa31d098364cac8b4469df"
+
+
+def test_pivot_sequence_is_pinned(monkeypatch):
+    rows = engine._cone(3).row_vectors()
+    lps = [[rows[i] for i in range(len(rows)) if i != r] + [tuple(-x for x in rows[r])]
+           for r in range(len(rows))]
+    sections = [engine.section_for(partitions_to_weight(mu, nu, 2)) for n in range(1, 6)
+                for mu in partitions_of(n, max_length=2)
+                for nu in partitions_of(n, max_length=2)]
+    pivots = []
+    pivot = linalg._pivot
+    monkeypatch.setattr(linalg, "_pivot", lambda t, r, c: pivots.append((r, c)) or pivot(t, r, c))
+    assert len(lps) == 22 and all(lp_feasible(ge, [1] * len(ge)) for ge in lps)
+    assert len(sections) == 27
+    assert all(lattice.diagnose(s) == BOUNDED for s in sections)
+    assert len(pivots) == PIVOTS_PINNED
+    assert hashlib.sha1(repr(pivots).encode()).hexdigest() == PIVOTS_SHA1
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +272,23 @@ def test_det_frac_matches_cofactor_expansion():
         if rng.random() < 0.3:
             m[-1] = [2 * x for x in m[0]]
         assert det_frac(m) == laplace_det(m)
+
+
+def test_det_frac_on_large_integer_entries():
+    # Bareiss divides exactly by the previous pivot: check it against cofactor
+    # expansion with a zero leading entry (a row swap) and singular matrices.
+    rng = random.Random(7)
+    for k in range(60):
+        size = rng.randint(5, 6)
+        m = [[rng.randint(-10**6, 10**6) for _ in range(size)] for _ in range(size)]
+        if k % 2:
+            m[0][0] = 0
+        if k % 5 == 0:
+            i, j = rng.sample(range(1, size), 2)
+            m[j] = list(m[i])
+        want = laplace_det(m)
+        assert det_frac(m) == want
+        assert (want == 0) == (k % 5 == 0)
 
 
 def test_inverse_of_integer_and_fraction_matrices():
