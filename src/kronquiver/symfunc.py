@@ -1,8 +1,9 @@
-"""Classical symmetric-function oracles: Littlewood-Richardson coefficients
-by direct tableau backtracking, symmetric-group characters by border-strip
-recursion, and the LR-based two-row Kronecker formula.
+"""Classical symmetric-function oracles: skew Schur expansions by one
+Littlewood-Richardson tableau search, which gives the LR coefficients and the
+LR-based Kronecker formula for every number of rows m, and symmetric-group
+characters by border-strip recursion.
 
-All arithmetic is exact (Python integers / Fractions).  LR coefficients and
+All arithmetic is exact (Python integers / Fractions).  Skew expansions and
 characters are memoized in module dictionaries that live only as long as
 the process; nothing is read from or written to disk.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .partitions import Partition, lambda_of_index_set, partitions_of
@@ -58,76 +59,51 @@ def zed(rho: Partition) -> int:
 
 
 def lr_coeff(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient: LR skew tableaux of shape lam/mu
-    and content nu.  Zero when the degrees mismatch or mu is not inside lam."""
-    key = (lam.parts, mu.parts, nu.parts)
+    """Littlewood-Richardson coefficient c^lam_{mu,nu}: LR skew tableaux of
+    shape lam/mu and content nu.  Zero when the degrees mismatch or mu is not
+    inside lam."""
+    return _skew(lam.parts, mu.parts).get(nu.parts, 0)
+
+
+def _skew(outer, inner):
+    """Skew Schur expansion s_{outer/inner} = sum of c^outer_{inner,beta} s_beta
+    as ``{beta: c}``, by one search over the LR tableaux of shape outer/inner
+    binned by content; empty when inner is not inside outer."""
+    if len(inner) > len(outer) or any(a < b for a, b in zip(outer, inner)):
+        return {}
+    key = (outer, inner)
     hit = _LR_MEMO.get(key)
     if hit is not None:
         return hit
-    if lam.size != mu.size + nu.size or not lam.contains(mu):
-        _LR_MEMO[key] = 0
-        return 0
-    if nu.length > lam.length:
-        _LR_MEMO[key] = 0
-        return 0
+    inner = inner + (0,) * (len(outer) - len(inner))
 
-    # Cells in reverse reading order: rows top to bottom, right to left.
-    cells = []
-    for i in range(lam.length):
-        for c in range(lam[i] - 1, mu[i] - 1, -1):
-            cells.append((i, c))
-
-    nparts = nu.length
-    content = [0] * (nparts + 2)  # counts per value, 1-based; index 0 is a sentinel
-    content[0] = nu.size + 1
-    filling = {}
+    # Cells in reverse reading order: rows top to bottom, right to left.  An
+    # entry of row i (from 0) is at most i + 1, since the lattice word has read
+    # only the rows above when it reaches the row's rightmost cell.
+    cells = [(i, c) for i in range(len(outer)) for c in range(outer[i] - 1, inner[i] - 1, -1)]
+    rows = [[0] * part for part in outer]
+    content = [len(cells) + 1] + [0] * len(outer)  # counts per value, 1-based; 0 is a sentinel
+    expansion = {}
 
     def place(t):
         if t == len(cells):
-            return 1
+            beta = tuple(x for x in content[1:] if x)
+            expansion[beta] = expansion.get(beta, 0) + 1
+            return
         i, c = cells[t]
-        right = filling.get((i, c + 1), nparts) if c + 1 < lam[i] else nparts
-        above = filling.get((i - 1, c), 0) if i > 0 and mu[i - 1] <= c < lam[i - 1] else 0
-        total = 0
+        right = rows[i][c + 1] if c + 1 < outer[i] else i + 1
+        above = rows[i - 1][c] if i > 0 and inner[i - 1] <= c else 0
         for v in range(above + 1, right + 1):
-            if content[v] >= nu[v - 1] or content[v] >= content[v - 1]:
+            if content[v] >= content[v - 1]:
                 continue
             content[v] += 1
-            filling[(i, c)] = v
-            total += place(t + 1)
+            rows[i][c] = v
+            place(t + 1)
             content[v] -= 1
-        if cells and (i, c) in filling:
-            del filling[(i, c)]
-        return total
 
-    result = place(0)
-    _LR_MEMO[key] = result
-    return result
-
-
-def _schur_product_into(expansion, eta, inside):
-    """Multiply a Schur expansion by s_eta, keeping only keys inside ``inside``."""
-    out = {}
-    for kappa, coef in expansion.items():
-        target = kappa.size + eta.size
-        for tau in partitions_of(target, max_length=inside.length, max_part=inside[0]):
-            if not inside.contains(tau) or not tau.contains(kappa):
-                continue
-            c = lr_coeff(tau, kappa, eta)
-            if c:
-                out[tau] = out.get(tau, 0) + coef * c
-    return out
-
-
-def multi_lr(etas, lam: Partition) -> int:
-    """Multiplicity of S_lam in the tensor product of the S_eta (in any
-    order): all but the last factor are multiplied out by LR convolution
-    inside lam, and the last is read off at lam alone."""
-    first, *middle, last = [Partition()] * (2 - len(etas)) + list(etas)  # s_() = 1
-    expansion = {first: 1}
-    for eta in middle:
-        expansion = _schur_product_into(expansion, eta, lam)
-    return sum(c * lr_coeff(lam, kappa, last) for kappa, c in expansion.items())
+    place(0)
+    _LR_MEMO[key] = expansion
+    return expansion
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
@@ -180,31 +156,47 @@ def kron_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
     return int(total)
 
 
-def kron_via_lr(lam: Partition, mu: Partition, nu: Partition, m: int = 2,
-                prune: bool = True) -> int:
-    """Kronecker coefficient via the signed sum of multiple LR products over
-    row permutations; requires lam to have at most m rows.  At m = 2 this is
-    a_{lam(1)} - a_{lam(1)+1}, the sums of c_{eta1,eta2}^mu c_{eta1,eta2}^nu
-    over |eta1| = lam(1) and lam(1) + 1."""
+def kron_via_lr(lam: Partition, mu: Partition, nu: Partition, m: int = 2) -> int:
+    """Kronecker coefficient for lam with at most m rows: the signed sum over
+    row permutations omega of the sums over etas, |eta_i| = lam(i) - i +
+    omega(i), of <s_mu, s_eta_1 ... s_eta_m> <s_nu, s_eta_1 ... s_eta_m>.
+
+    Both pairings are read off iterated skew expansions: mu and nu are skewed
+    by eta_1, every term by eta_2, and so on, and the last factor is the inner
+    product of what is left.  Only etas inside mu and nu are visited.  At
+    m = 2 this is a_{lam(1)} - a_{lam(1)+1}, where a_k sums
+    <s_{mu/eta}, s_{nu/eta}> over |eta| = k."""
     if lam.length > m:
         raise ValueError(f"lambda has more than {m} rows")
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("partitions must have equal size")
+    meet = Partition(map(min, mu, nu))
     total = 0
     for omega in permutations(range(1, m + 1)):
         sizes = [lam[i - 1] - i + omega[i - 1] for i in range(1, m + 1)]
         if any(s < 0 for s in sizes):
             continue
-        sign = _perm_sign(omega)
-        pools = [[e for e in partitions_of(s)
-                  if not prune or (mu.contains(e) and nu.contains(e))] for s in sizes]
-        for etas in product(*pools):
-            c1 = multi_lr(etas, mu)
-            if not c1:
-                continue
-            total += sign * c1 * multi_lr(etas, nu)
+        pools = [[e.parts for e in partitions_of(s, max_length=meet.length, max_part=meet[0])
+                  if meet.contains(e)] for s in sizes[:-1]]
+        total += _perm_sign(omega) * _pairing({mu.parts: 1}, {nu.parts: 1}, pools)
     return total
+
+
+def _pairing(a, b, pools):
+    """Sum over one eta from each pool of the inner product of the Schur
+    expansions a and b ({parts: coefficient}), each skewed by those etas."""
+    if not pools:
+        return sum(c * b.get(beta, 0) for beta, c in a.items())
+    return sum(_pairing(_skew_by(a, eta), _skew_by(b, eta), pools[1:]) for eta in pools[0])
+
+
+def _skew_by(expansion, eta):
+    out = {}
+    for kappa, c in expansion.items():
+        for beta, d in _skew(kappa, eta).items():
+            out[beta] = out.get(beta, 0) + c * d
+    return out
 
 
 def _perm_sign(omega):

@@ -1,4 +1,5 @@
-"""Property tests: random triples beyond the fixed acceptance cases, the
+"""Property tests: random triples beyond the fixed acceptance cases, counts
+that agree across mu <-> nu and across conjugation to another rank, the
 truncated product and the Kronecker semigroup against the lr oracle, and the
 rectangular ladder at l = 4."""
 
@@ -37,9 +38,34 @@ def test_three_methods_agree(triple):
 @given(triples())
 def test_coefficient_symmetric_in_mu_and_nu(triple):
     mu, nu, lam, l = triple
-    straight = kronecker(KroneckerQuery(mu, nu, lam, l), "polytope").g
-    swapped = kronecker(KroneckerQuery(nu, mu, lam, l), "polytope").g
-    assert straight == swapped
+    straight = kronecker(KroneckerQuery(mu, nu, lam, l), "polytope")
+    swapped = kronecker(KroneckerQuery(nu, mu, lam, l), "polytope")
+    assert (straight.g, straight.counts) == (swapped.g, swapped.counts)
+
+
+@st.composite
+def conjugable_triples(draw):
+    """(mu, nu, lambda): |mu| = |nu| = |lambda| = n <= 8, mu and nu inside the
+    4 x 4 square so that they and their conjugates have at most four rows,
+    lambda with at most two."""
+    n = draw(st.integers(1, 8))
+    shapes = list(partitions_of(n, max_length=4, max_part=4))
+    mu = draw(st.sampled_from(shapes))
+    nu = draw(st.sampled_from(shapes))
+    lam = draw(st.sampled_from(list(partitions_of(n, max_length=2))))
+    return mu, nu, lam
+
+
+@PROPERTY
+@given(conjugable_triples())
+def test_conjugation_across_ranks_keeps_the_counts(triple):
+    # g(mu, nu, lam) = g(mu', nu', lam), and the two sections' counts agree
+    # too, although each side counts in the cone of its own rank.
+    mu, nu, lam = triple
+    straight = kronecker(KroneckerQuery.create(mu, nu, lam), "polytope")
+    conjugate = kronecker(KroneckerQuery.create(mu.conjugate(), nu.conjugate(), lam),
+                          "polytope")
+    assert straight.counts == conjugate.counts, (straight.query, conjugate.query)
 
 
 @st.composite
@@ -103,7 +129,7 @@ def test_kronecker_semigroup(a, b):
         assert kron_via_lr(*map(_row_sum, a, b)) > 0
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", [*range(1, 13), 16, 20])
 def test_rectangular_ladder_matches_lr(k):
     """(k^4)^2 / (2k, 2k) at l = 4, by the polytope method and the lr oracle."""
     rect = Partition((k,) * 4)

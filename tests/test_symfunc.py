@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
 from kronquiver.partitions import Partition, partitions_of
 from kronquiver.symfunc import (horn_positive, kron_characters, kron_via_lr, lr_coeff,
-                                mn_character, multi_lr, schur_from_weights, zed)
+                                mn_character, schur_from_weights, zed)
 
 
 def P(*parts):
@@ -19,6 +18,7 @@ def test_lr_examples():
     assert lr_coeff(P(3), P(1), P(1)) == 0  # degree mismatch
     assert lr_coeff(P(5, 4, 3), P(4, 3, 2), P(2, 1)) == 2
     assert lr_coeff(P(2, 1), P(3), P(0)) == 0  # not contained
+    assert lr_coeff(P(4, 3, 2, 2, 1), P(4, 3, 2), P(2, 1)) == 1
 
 
 def test_lr_small_admissibility_values():
@@ -30,6 +30,14 @@ def test_lr_small_admissibility_values():
 
 
 def test_lr_symmetry_randomized():
+    # every pair of factors with at most 3 rows and |lam| <= 6, then random
+    # factors up to size 6 each
+    for n in range(0, 7):
+        for k in range(0, n + 1):
+            for e1 in partitions_of(k, max_length=3):
+                for e2 in partitions_of(n - k, max_length=3):
+                    for lam in partitions_of(n, max_length=4):
+                        assert lr_coeff(lam, e1, e2) == lr_coeff(lam, e2, e1)
     rng = random.Random(11)
     pool = [p for n in range(0, 7) for p in partitions_of(n, max_length=3)]
     for _ in range(300):
@@ -38,43 +46,18 @@ def test_lr_symmetry_randomized():
         assert lr_coeff(lam, mu, nu) == lr_coeff(lam, nu, mu)
 
 
-def test_multi_lr_examples():
-    assert multi_lr([P(2, 1)], P(2, 1)) == 1
-    assert multi_lr([P(2, 1)], P(3)) == 0
-    assert multi_lr([P(4, 3, 2), P(2, 1)], P(4, 3, 2, 2, 1)) == 1
-
-
-def test_multi_lr_matches_lr_for_pairs():
-    for n in range(0, 7):
-        for k in range(0, n + 1):
-            for e1 in partitions_of(k, max_length=3):
-                for e2 in partitions_of(n - k, max_length=3):
-                    for lam in partitions_of(n, max_length=4):
-                        assert multi_lr([e1, e2], lam) == lr_coeff(lam, e1, e2)
-
-
-def test_multi_lr_matches_lr_for_triples():
-    # s_e1 s_e2 s_e3 = sum over kappa of c_{e1,e2}^kappa s_kappa s_e3
+def test_lr_associativity():
+    # (s_e1 s_e2) s_e3 = s_e1 (s_e2 s_e3), read at every s_lam
     pool = [p for n in range(0, 4) for p in partitions_of(n, max_length=2)]
     for e1 in pool:
         for e2 in pool:
             for e3 in pool:
                 for lam in partitions_of(e1.size + e2.size + e3.size, max_length=4):
-                    expected = sum(lr_coeff(kappa, e1, e2) * lr_coeff(lam, kappa, e3)
-                                   for kappa in partitions_of(e1.size + e2.size))
-                    assert multi_lr([e1, e2, e3], lam) == expected
-
-
-def test_multi_lr_order_independent():
-    rng = random.Random(5)
-    pool = [p for n in range(0, 5) for p in partitions_of(n, max_length=2)]
-    for _ in range(40):
-        etas = [rng.choice(pool) for _ in range(3)]
-        lam = rng.choice([p for p in
-                          partitions_of(sum(e.size for e in etas), max_length=4)])
-        base = multi_lr(etas, lam)
-        for perm in permutations(etas):
-            assert multi_lr(list(perm), lam) == base
+                    left = sum(lr_coeff(kappa, e1, e2) * lr_coeff(lam, kappa, e3)
+                               for kappa in partitions_of(e1.size + e2.size))
+                    right = sum(lr_coeff(kappa, e2, e3) * lr_coeff(lam, e1, kappa)
+                                for kappa in partitions_of(e2.size + e3.size))
+                    assert left == right, (e1, e2, e3, lam)
 
 
 def test_mn_examples():
@@ -165,8 +148,7 @@ def test_a_k_prune_preserving():
         mu, nu = rng.choice(pool), rng.choice(pool)
         k = rng.randint(0, n)
         lam = P(max(k, n - k), min(k, n - k))
-        g = kron_via_lr(lam, mu, nu, prune=True)
-        assert g == kron_via_lr(lam, mu, nu, prune=False)
+        g = kron_via_lr(lam, mu, nu)
         assert g == brute_force_a_k(mu, nu, lam[0]) - brute_force_a_k(mu, nu, lam[0] + 1)
 
 
@@ -194,15 +176,25 @@ def test_kron_via_lr_agrees_with_characters():
                     assert kron_via_lr(lam, mu, nu) == kron_characters(lam, mu, nu)
 
 
+def test_kron_via_lr_agrees_with_characters_at_large_n():
+    rng = random.Random(7)
+    for _ in range(14):
+        n = rng.randint(14, 20)
+        pool = list(partitions_of(n, max_length=6))
+        lam = rng.choice(list(partitions_of(n, max_length=2)))
+        mu, nu = rng.choice(pool), rng.choice(pool)
+        assert kron_via_lr(lam, mu, nu) == kron_characters(lam, mu, nu), (lam, mu, nu)
+
+
 def test_kron_via_lr_general_m():
-    for (lam, mu, nu) in [
-        (P(2, 1, 1), P(2, 1, 1), P(2, 2)),
-        (P(3, 2, 1), P(3, 2, 1), P(2, 2, 2)),
-        (P(2, 2), P(2, 1, 1), P(2, 1, 1)),
-    ]:
-        assert kron_via_lr(lam, mu, nu, m=3) == kron_characters(lam, mu, nu)
-        assert kron_via_lr(lam, mu, nu, m=3, prune=False) == \
-            kron_characters(lam, mu, nu)
+    for m in range(0, 5):
+        for n in range(0, 7 if m == 3 else 6):
+            pool = list(partitions_of(n))
+            for lam in partitions_of(n, max_length=m):
+                for mu in pool:
+                    for nu in pool:
+                        assert kron_via_lr(lam, mu, nu, m=m) == \
+                            kron_characters(lam, mu, nu), (m, lam, mu, nu)
 
 
 def test_horn_examples():
