@@ -8,6 +8,7 @@ disagreement or verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,7 +251,9 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: ``main`` reuses it for every argv."""
     parser = argparse.ArgumentParser(
         prog="kronquiver",
         description="Kronecker coefficients with two-row lambda via "

@@ -1,17 +1,18 @@
 """Exact enumeration of integer points in rational polytope sections given by
 integer inequality rows a.g >= 0 plus equality rows a.g = b.
 
-One scan, ``_scan``: a Hermite-style integer solve certifies that the equality
-lattice has a point; interval propagation over every constraint, written once
-per section as one-sided sparse rows of nonzero ``(index, coeff)`` terms (the
-form ``linalg.propagate_box`` takes), bounds what it can of the coordinate
-box, and exact LP (``linalg.lp_box``, idle when propagation closed the box)
-bounds the rest; a depth-first scan with per-node propagation then keeps each
-leaf that meets the raw rows in integer arithmetic.  Root propagation starts
-from the section's ``box`` when it carries one (the engine's rank-4 sections
-do: a box proved by LP dual certificates), and from an all-open box
-otherwise.  ``diagnose`` is ``lp_box`` on a box with every side open, whatever
-the section carries.  No floating point anywhere.
+A section keeps one row form: at construction every constraint becomes
+one-sided sparse rows of nonzero ``(index, coeff)`` terms (the form
+``linalg.propagate_box`` takes), an equality as two rows.  One scan,
+``_scan``: a Hermite-style integer solve certifies that the equality lattice
+has a point; interval propagation over those rows bounds what it can of the
+coordinate box, and exact LP (``linalg.lp_box``, idle when propagation closed
+the box) bounds the rest; a depth-first scan with per-node propagation then
+keeps each leaf that meets the same rows in integer arithmetic.  Root
+propagation starts from the section's ``box`` when it carries one (the
+engine's rank-4 sections do: a box proved by LP dual certificates), and from
+an all-open box otherwise.  ``diagnose`` is ``lp_box`` on a box with every
+side open, whatever the section carries.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ class SectionError(Exception):
     def __init__(self, status, detail=""):
         self.status = status
         super().__init__(f"section is {status}" + (f": {detail}" if detail else ""))
+
+
+def _terms(a):
+    """The ``(index, coeff)`` pairs of the nonzero entries of the row ``a``."""
+    return tuple((i, c) for i, c in enumerate(a) if c)
 
 
 class PolytopeSection:
@@ -47,16 +53,20 @@ class PolytopeSection:
         for a, _ in self.equalities:
             if len(a) != dim:
                 raise ValueError("equality row dimension mismatch")
+        # One-sided sparse rows (terms, r), meaning a.g >= r: each inequality,
+        # then each equality a.g = b as a.g >= b and -a.g >= -b.
+        self.rows = [(_terms(a), 0) for a in self.ineqs]
+        for a, b in self.equalities:
+            terms = _terms(a)
+            self.rows += [(terms, b), (tuple((i, -c) for i, c in terms), -b)]
 
     @classmethod
     def from_cone(cls, cone, equalities=(), box=None):
         return cls(cone.dim, cone.row_vectors(), equalities, box)
 
     def contains(self, point) -> bool:
-        """Exact integer membership against the raw rows."""
-        if any(linalg.dot(a, point) < 0 for a in self.ineqs):
-            return False
-        return all(linalg.dot(a, point) == b for a, b in self.equalities)
+        """Exact integer membership against its rows."""
+        return all(sum(c * point[i] for i, c in terms) >= r for terms, r in self.rows)
 
 
 def diagnose(section: PolytopeSection) -> str:
@@ -68,11 +78,6 @@ def diagnose(section: PolytopeSection) -> str:
                          [b for _, b in eqs], [None] * section.dim, [None] * section.dim)
 
 
-def _terms(a):
-    """The ``(index, coeff)`` pairs of the nonzero entries of the row ``a``."""
-    return tuple((i, c) for i, c in enumerate(a) if c)
-
-
 def _scan(section: PolytopeSection) -> list:
     """Integer points of the section in scan order, each once: the scan
     branches on disjoint values.  Raises SectionError on an unbounded
@@ -82,13 +87,8 @@ def _scan(section: PolytopeSection) -> list:
     # Certify integer solvability of the equality lattice before scanning.
     if eq_rows and linalg.solve_integer_system(eq_rows, eq_rhs) is None:
         return []
-    # Every constraint as a one-sided sparse row: its nonzero terms, a.g >= r.
-    rows = [(_terms(a), 0) for a in section.ineqs]
-    for a, b in section.equalities:
-        terms = _terms(a)
-        rows += [(terms, b), (tuple((i, -c) for i, c in terms), -b)]
     lo, hi = section.box or ([None] * section.dim, [None] * section.dim)
-    box = linalg.propagate_box(rows, lo, hi)
+    box = linalg.propagate_box(section.rows, lo, hi)
     if box is None:
         return []
     lo, hi = box
@@ -102,7 +102,7 @@ def _scan(section: PolytopeSection) -> list:
     points = []
 
     def descend(lo, hi):
-        box = linalg.propagate_box(rows, lo, hi, max_rounds=6)
+        box = linalg.propagate_box(section.rows, lo, hi, max_rounds=6)
         if box is None:
             return
         lo, hi = box

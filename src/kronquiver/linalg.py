@@ -4,17 +4,18 @@ certificates for integer boxes, and a two-phase simplex over the rationals.
 
 Elimination runs on integer rows: a row is a pair ``(a, d)`` of a list of
 ints and a denominator ``d > 0``, meaning ``a / d``, kept in lowest terms
-(``_row`` builds one from int or Fraction values).  ``rank``, ``inverse`` and
-both simplex phases are built on the Gauss-Jordan step ``_pivot``, and
-``det_frac`` is the fraction-free Bareiss forward pass; ``Fraction`` appears
-only at the edges (inputs, the simplex ratio test, LP values and points,
-``inverse`` rows and determinants).  ``lp_box`` prices every objective into
-one phase 1 tableau, and ``dual_certificate`` solves the dual LP of one side
-of a cone section with ``solve_lp``.  ``solve_integer_system`` uses
-unimodular integer column operations instead.  ``propagate_box`` takes
-sparse rows ``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``,
-whose terms are the nonzero ``(index, coeff)`` pairs only: a zero coefficient
-would divide by zero.  No floating point is used anywhere.
+(``_row`` builds one from int or Fraction values).  ``det_frac`` and ``rank``
+read one fraction-free Bareiss forward pass, ``_bareiss``, and ``inverse`` is
+the adjugate over ``det_frac``; both simplex phases are built on the
+Gauss-Jordan step ``_pivot``.  ``Fraction`` appears only at the edges
+(inputs, the simplex ratio test, LP values and points, ``inverse`` entries
+and determinants).  ``lp_box`` prices every objective into one phase 1
+tableau, and ``dual_certificate`` solves the dual LP of one side of a cone
+section with ``solve_lp``.  ``solve_integer_system`` uses unimodular integer
+column operations instead.  ``propagate_box`` takes sparse rows
+``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``, whose terms
+are the nonzero ``(index, coeff)`` pairs only: a zero coefficient would
+divide by zero.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -70,61 +71,54 @@ def _pivot(t, r, c):
             t[i] = _clear(row, prow, c)
 
 
-def det_frac(m) -> Fraction:
-    """Exact determinant of a square matrix with integer or Fraction entries.
-
-    Bareiss's fraction-free forward pass on the rows scaled to integers: each
-    step divides exactly by the previous pivot, and the row scales are
-    divided back out at the end.
-    """
-    n = len(m)
+def _bareiss(m):
+    """Bareiss's fraction-free forward pass on the rows of ``m`` scaled to
+    integers, skipping a column with no pivot left: each step divides exactly
+    by the previous pivot.  Returns the rank, the sign of the row swaps, the
+    last pivot and the product of the row scales."""
     rows = [_row(row) for row in m]
     a = [r for r, _ in rows]
-    sign, prev = 1, 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
+    rk, sign, prev = 0, 1, 1
+    for c in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rk, len(a)) if a[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
+            continue
+        if piv != rk:
+            a[rk], a[piv] = a[piv], a[rk]
             sign = -sign
-        p, top = a[c][c], a[c]
-        for r in range(c + 1, n):
+        p, top = a[rk][c], a[rk]
+        for r in range(rk + 1, len(a)):
             f = a[r][c]
             a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
         prev = p
-    return Fraction(sign * prev, math.prod(d for _, d in rows))
+        rk += 1
+    return rk, sign, prev, math.prod(d for _, d in rows)
 
 
-def _reduce(a, ncols):
-    """Bring the integer rows ``a`` to reduced row echelon form in their
-    first ``ncols`` columns, in place; returns the number of pivots."""
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][0][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        _pivot(a, r, c)
-        r += 1
-    return r
+def det_frac(m) -> Fraction:
+    """Exact determinant of a square matrix with integer or Fraction entries:
+    the last pivot of the Bareiss pass, signed by its row swaps and with the
+    row scales divided back out, or 0 when the rank falls short."""
+    rk, sign, last, scale = _bareiss(m)
+    return Fraction(sign * last, scale) if rk == len(m) else Fraction(0)
 
 
 def rank(m):
     """Rank of a matrix with integer or Fraction entries."""
-    return _reduce([_row(row) for row in m], len(m[0]) if m else 0)
+    return _bareiss(m)[0]
 
 
 def inverse(m):
-    """Inverse of a square matrix as Fraction rows; raises ZeroDivisionError
-    when the matrix is singular."""
-    n = len(m)
-    a = [_row([*row, *e]) for row, e in zip(m, identity(n))]
-    if _reduce(a, n) < n:
+    """Inverse of a square matrix as Fraction rows: the adjugate over
+    ``det_frac``, each entry a signed minor; raises ZeroDivisionError when
+    the matrix is singular."""
+    det = det_frac(m)
+    if det == 0:
         raise ZeroDivisionError("singular matrix")
-    return [[Fraction(x, d) for x in row[n:]] for row, d in a]
+    n = len(m)
+    cols = [[row[:i] + row[i + 1:] for row in m] for i in range(n)]  # m without column i
+    return [[(-1) ** (i + j) * det_frac(cols[i][:j] + cols[i][j + 1:]) / det for j in range(n)]
+            for i in range(n)]
 
 
 def _ext_gcd(a, b):

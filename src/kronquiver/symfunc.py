@@ -1,11 +1,12 @@
 """Classical symmetric-function oracles: skew Schur expansions by one
 Littlewood-Richardson tableau search, which gives the LR coefficients and the
 LR-based Kronecker formula for every number of rows m, and symmetric-group
-characters by border-strip recursion.
+characters by border-strip recursion on bead sets: a shape is one int, with
+bit ``lam_i + (k-1-i)`` set for each of its k rows (James & Kerber 2.7).
 
-All arithmetic is exact (Python integers / Fractions).  Skew expansions and
-characters are memoized in module dictionaries that live only as long as
-the process; nothing is read from or written to disk.
+All arithmetic is exact (Python integers).  Skew expansions and characters
+are memoized in module dictionaries that live only as long as the process;
+nothing is read from or written to disk.
 """
 
 from __future__ import annotations
@@ -107,53 +108,54 @@ def _skew(outer, inner):
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
-    """Character chi^lam at the class rho, by border-strip recursion."""
+    """Character chi^lam at the class rho, by border-strip recursion on the
+    bead set of lam."""
     if lam.size != rho.size:
         raise ValueError(f"size mismatch: |lam|={lam.size} |rho|={rho.size}")
-    return _mn(lam.parts, rho.parts)
+    k = lam.length
+    return _mn(sum(1 << (part + k - 1 - i) for i, part in enumerate(lam.parts)), rho.parts)
 
 
-def _mn(lam, rho):
+def _mn(beads, rho):
+    """chi at rho of the shape whose beta-numbers are the set bits of the int
+    ``beads``, with no bead on position 0 (no empty row).  A border strip of
+    length r moves a bead from b to a free b - r, signed by the beads it
+    passes; trailing beads left on 0, 1, ... are empty rows and shift out."""
     if not rho:
         return 1
-    key = (lam, rho)
+    key = (beads, rho)
     hit = _MN_MEMO.get(key)
     if hit is not None:
         return hit
-    r = rho[0]
-    rest = rho[1:]
-    length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    bset = set(beta)
+    r, rest = rho[0], rho[1:]
     total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        jumps = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
-        newlam = tuple(v - (length - 1 - i) for i, v in enumerate(newbeta))
-        while newlam and newlam[-1] == 0:
-            newlam = newlam[:-1]
-        total += (-1) ** jumps * _mn(newlam, rest)
+    for b in range(r, beads.bit_length()):
+        if beads >> b & 1 and not beads >> (b - r) & 1:
+            passed = (beads >> (b - r + 1)) & ((1 << (r - 1)) - 1)
+            moved = beads ^ (1 << b) ^ (1 << (b - r))
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+            total += (-1) ** passed.bit_count() * _mn(moved, rest)
     _MN_MEMO[key] = total
     return total
 
 
 def kron_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Kronecker coefficient by the character sum over conjugacy classes."""
+    """Kronecker coefficient by the character sum over conjugacy classes:
+    n! g = sum over rho of chi^lam chi^mu chi^nu times the class size
+    n! / z_rho, all in integers."""
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("partitions must have equal size")
-    total = Fraction(0)
+    order = factorial(n)
+    total = 0
     for rho in partitions_of(n):
-        total += Fraction(
-            mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho),
-            zed(rho),
-        )
-    if total.denominator != 1 or total < 0:
-        raise ArithmeticError(f"character sum is not a nonnegative integer: {total}")
-    return int(total)
+        total += (mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho)
+                  * (order // zed(rho)))
+    g, rem = divmod(total, order)
+    if rem or g < 0:
+        raise ArithmeticError(
+            f"character sum is not a nonnegative integer: {Fraction(total, order)}")
+    return g
 
 
 def kron_via_lr(lam: Partition, mu: Partition, nu: Partition, m: int = 2) -> int:

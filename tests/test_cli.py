@@ -277,6 +277,25 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_subcommands_back_to_back_match_their_lone_runs(capsys):
+    # The one cached parser carries nothing from one argv to the next: each
+    # run gives what it gives on a freshly built parser.
+    runs = [("truncated", "--mu", "2,1", "--nu", "2,1"),
+            ("coeff", "--mu", "2,1", "--nu", "2", "--lam", "2,1"),
+            ("coeff", "--mu", "1,1", "--nu", "1,1", "--lam", "1,1", "--format", "json")]
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert alone[0] == (0, "s[3] + s[2,1]\n")
+    assert alone[1] == (3, "")
+    assert [run_cli(capsys, *argv) for argv in runs + runs[::-1]] == alone + alone[::-1]
+
+
 @pytest.mark.parametrize("method", ["polytope", "characters"])
 def test_internal_check_failure_exits_4(capsys, monkeypatch, method):
     # A negative polytope difference or a non-integral character sum is a

@@ -145,6 +145,10 @@ def test_points_sorted_and_verified():
     pts = enumerate_points(section)
     assert list(pts) == sorted(pts)
     assert all(section.contains(g) for g in pts)
+    # contains() reads the sparse rows the scan reads; check the raw rows too.
+    for g in pts:
+        assert all(linalg.dot(a, g) >= 0 for a in section.ineqs)
+        assert all(linalg.dot(a, g) == b for a, b in section.equalities)
 
 
 def test_hrep_round_trip():

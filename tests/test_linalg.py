@@ -324,6 +324,38 @@ def test_rank():
     assert rank(identity(4)) == 4
 
 
+def random_sparse_matrices(seed, count):
+    """Random Fraction matrices of at most 5 x 5, about 30% zeros, some with
+    a dependent last row."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[0 if rng.random() < 0.3 else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+              for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.25:
+            m[-1] = [x - 2 * y for x, y in zip(m[0], m[-2])]
+        yield m
+
+
+def test_rank_is_the_largest_nonzero_minor():
+    for m in random_sparse_matrices(5, 300):
+        want = max((k for k in range(1, min(len(m), len(m[0])) + 1)
+                    for rows in combinations(m, k) for cols in combinations(range(len(m[0])), k)
+                    if laplace_det([[row[j] for j in cols] for row in rows])), default=0)
+        assert rank(m) == want, m
+
+
+def test_inverse_times_matrix_is_identity():
+    for m in random_sparse_matrices(5, 300):
+        if len(m) != len(m[0]):
+            continue
+        if laplace_det(m) == 0:
+            with pytest.raises(ZeroDivisionError):
+                inverse(m)
+        else:
+            assert mat_mul(inverse(m), m) == identity(len(m)), m
+
+
 # ---------------------------------------------------------------------------
 # propagate_box and solve_integer_system against brute force.
 

@@ -80,12 +80,31 @@ def test_mn_standard_rep_of_s3():
         assert mn_character(P(2, 1), rho) == brute_force_character_21(rho)
 
 
+def character_table(n):
+    classes = list(partitions_of(n))
+    return classes, {lam: [mn_character(lam, rho) for rho in classes] for lam in classes}
+
+
 def test_column_orthogonality():
+    # sum over lam of chi^lam(rho) chi^lam(sigma) = z_rho [rho = sigma], for
+    # every pair of classes: off the diagonal a sign error shows.
     for n in range(1, 11):
-        for rho in partitions_of(n):
-            z = zed(rho)
-            total = sum(mn_character(lam, rho) ** 2 for lam in partitions_of(n))
-            assert total == z
+        classes, table = character_table(n)
+        for i, rho in enumerate(classes):
+            for j in range(len(classes)):
+                total = sum(row[i] * row[j] for row in table.values())
+                assert total == (zed(rho) if i == j else 0), (rho, classes[j])
+
+
+def test_row_orthogonality():
+    # sum over rho of chi^lam(rho) chi^mu(rho) / z_rho = [lam = mu]
+    for n in range(1, 9):
+        classes, table = character_table(n)
+        z = [zed(rho) for rho in classes]
+        for lam in classes:
+            for mu in classes:
+                total = sum(Fraction(a * b, zr) for a, b, zr in zip(table[lam], table[mu], z))
+                assert total == (lam == mu), (lam, mu)
 
 
 def test_zed():
