@@ -1,18 +1,22 @@
 """Classical symmetric-function oracles: skew Schur expansions by one
 Littlewood-Richardson tableau search, which gives the LR coefficients and the
 LR-based Kronecker formula for every number of rows m, and symmetric-group
-characters by border-strip recursion on bead sets: a shape is one int, with
-bit ``lam_i + (k-1-i)`` set for each of its k rows (James & Kerber 2.7).
+characters.  A two-row character comes from Young's rule,
+chi^(n-k,k) = pi_k - pi_(k-1) with pi_j(rho) = [x^j] prod_i (1 + x^rho_i)
+(Macdonald I.7); every other one from border-strip recursion on bead sets: a
+shape is one int, with bit ``lam_i + (k-1-i)`` set for each of its k rows
+(James & Kerber 2.7).
 
-All arithmetic is exact (Python integers).  Skew expansions and characters
-are memoized in module dictionaries that live only as long as the process;
-nothing is read from or written to disk.
+All arithmetic is exact (Python integers).  Skew expansions, border-strip
+characters and the class table of each n are memoized for the life of the
+process; nothing is read from or written to disk.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -112,8 +116,14 @@ def mn_character(lam: Partition, rho: Partition) -> int:
     bead set of lam."""
     if lam.size != rho.size:
         raise ValueError(f"size mismatch: |lam|={lam.size} |rho|={rho.size}")
-    k = lam.length
-    return _mn(sum(1 << (part + k - 1 - i) for i, part in enumerate(lam.parts)), rho.parts)
+    return _mn(_beads(lam.parts), rho.parts)
+
+
+def _beads(parts):
+    """The bead set of a shape as one int: bit ``part + k - 1 - i`` for row i
+    of k."""
+    k = len(parts)
+    return sum(1 << (part + k - 1 - i) for i, part in enumerate(parts))
 
 
 def _mn(beads, rho):
@@ -139,18 +149,47 @@ def _mn(beads, rho):
     return total
 
 
+def _two_row(k, rho):
+    """chi^(n-k,k) at rho, k <= n - k, by Young's rule: pi_k - pi_(k-1), where
+    pi_j = [x^j] prod_i (1 + x^rho_i) counts the j-subsets fixed by rho."""
+    coeffs = [1] + [0] * k
+    for r in rho:
+        for j in range(k, r - 1, -1):
+            coeffs[j] += coeffs[j - r]
+    return coeffs[k] - coeffs[k - 1] if k else 1
+
+
+@lru_cache(maxsize=None)
+def _class_table(n):
+    """``(rho.parts, n! // z_rho)`` for every class rho of S_n, in
+    ``partitions_of(n)`` order."""
+    order = factorial(n)
+    return tuple((rho.parts, order // zed(rho)) for rho in partitions_of(n))
+
+
 def kron_characters(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient by the character sum over conjugacy classes:
     n! g = sum over rho of chi^lam chi^mu chi^nu times the class size
-    n! / z_rho, all in integers."""
+    n! / z_rho, all in integers.  The sum is symmetric in its arguments, so
+    the shortest one, when it has at most two rows, takes Young's rule and the
+    other two take border strips."""
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("partitions must have equal size")
+    *rest, short = sorted((lam, mu, nu), key=len, reverse=True)
+    two_row = short.length <= 2
+    if not two_row:
+        rest.append(short)
+    beads = [_beads(p.parts) for p in rest]
     order = factorial(n)
     total = 0
-    for rho in partitions_of(n):
-        total += (mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho)
-                  * (order // zed(rho)))
+    for rho, size in _class_table(n):
+        value = _two_row(short[1], rho) if two_row else 1
+        for b in beads:
+            if not value:
+                break
+            value *= _mn(b, rho)
+        total += value * size
     g, rem = divmod(total, order)
     if rem or g < 0:
         raise ArithmeticError(

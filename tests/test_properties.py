@@ -84,10 +84,12 @@ def rank3_triples(draw):
 @given(rank3_triples())
 def test_rank_stability_from_l3_to_the_certified_l4(triple):
     # l = 3 has no certificate table and l = 4 does, so this checks the scan
-    # from the certified root box against the scan without one.
+    # from the certified root box against the scan without one.  Both section
+    # counts are rank-stable, not only their difference g.
     at3 = kronecker(KroneckerQuery(*triple, 3), "polytope")
     at4 = kronecker(KroneckerQuery(*triple, 4), "polytope")
     assert at3.g == at4.g, (at3.counts, at4.counts)
+    assert at3.counts == at4.counts, (at3.counts, at4.counts)
 
 
 @st.composite

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from kronquiver import symfunc
 from kronquiver.partitions import Partition, partitions_of
 from kronquiver.symfunc import (horn_positive, kron_characters, kron_via_lr, lr_coeff,
                                 mn_character, schur_from_weights, zed)
@@ -113,6 +115,19 @@ def test_zed():
     assert zed(P(2, 1)) == 2
 
 
+def test_two_row_characters_by_youngs_rule():
+    for n in range(0, 13):
+        for rho in partitions_of(n):
+            for k in range(0, n // 2 + 1):
+                assert symfunc._two_row(k, rho.parts) == mn_character(P(n - k, k), rho), (k, rho)
+
+
+def test_class_table():
+    for n in range(0, 13):
+        assert list(symfunc._class_table(n)) == \
+            [(rho.parts, factorial(n) // zed(rho)) for rho in partitions_of(n)]
+
+
 def test_kron_characters_units():
     for n in range(1, 7):
         for lam in partitions_of(n):
@@ -124,9 +139,31 @@ def test_kron_characters_units():
 
 
 def test_kron_characters_examples():
+    assert kron_characters(P(), P(), P()) == 1
     assert kron_characters(P(1, 1), P(1, 1), P(1, 1)) == 0
     assert kron_characters(P(2, 2), P(2, 2), P(2, 2)) == 1
     assert kron_characters(P(2, 1), P(2, 1), P(2, 1)) == 1
+
+
+def reference_kron_characters(lam, mu, nu):
+    """n! g as the plain class sum, one border-strip character per argument."""
+    n = lam.size
+    return sum(mn_character(lam, rho) * mn_character(mu, rho) * mn_character(nu, rho)
+               * (factorial(n) // zed(rho)) for rho in partitions_of(n))
+
+
+def test_two_row_argument_in_each_place_at_large_n():
+    rng = random.Random(35)
+    for _ in range(6):
+        n = rng.randint(14, 20)
+        pool = list(partitions_of(n, max_length=6))
+        two_row = rng.choice(list(partitions_of(n, max_length=2)))
+        mu, nu = rng.choice(pool), rng.choice(pool)
+        g, rem = divmod(reference_kron_characters(two_row, mu, nu), factorial(n))
+        assert rem == 0, (two_row, mu, nu)
+        assert kron_characters(two_row, mu, nu) == g, (two_row, mu, nu)
+        assert kron_characters(mu, two_row, nu) == g, (mu, two_row, nu)
+        assert kron_characters(mu, nu, two_row) == g, (mu, nu, two_row)
 
 
 def test_kron_symmetries_exhaustive():
@@ -271,3 +308,14 @@ def test_kron_characters_exactness_guard():
     total = sum(Fraction(mn_character(P(2, 1), rho) ** 3, zed(rho))
                 for rho in partitions_of(3))
     assert total.denominator == 1
+
+
+@pytest.mark.parametrize("triple", [(P(2, 1), P(2, 1), P(2, 1)),
+                                    (P(1, 1, 1), P(1, 1, 1), P(1, 1, 1))])
+def test_kron_characters_rejects_a_wrong_character(monkeypatch, triple):
+    # a border-strip character that reads the number of cycles: the class sum
+    # is 16 (two-row path) or 53 (three border-strip factors), not a multiple
+    # of 3! = 6
+    monkeypatch.setattr(symfunc, "_mn", lambda beads, rho: len(rho))
+    with pytest.raises(ArithmeticError, match="character sum is not a nonnegative integer"):
+        kron_characters(*triple)
