@@ -314,7 +314,8 @@ def build_parser():
     v.add_argument("--n-max", type=_int_at_least(0), required=True)
     v.add_argument("--l-max", type=_positive_int, required=True)
     v.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker count; defaults to the available parallelism")
+                   help="worker processes, at most one per 8 (mu, nu) pairs; "
+                        "defaults to the available parallelism")
     v.add_argument("--format", default="json", choices=["json", "text"])
     v.set_defaults(handler=cmd_verify)
 

@@ -9,11 +9,18 @@ right-hand side of the same rank and equality rows, so the box costs a few dot
 products per side; ``_certificates`` checks the whole table in integer
 arithmetic on the first rank-4 section and raises on a bad entry.  Other
 ranks have no table, and their sections carry no box.
+
+``cross_validate`` counts one sigma-section per ``(mu, nu)`` pair: the
+lambda-section of ``(a, b)`` is the sigma-section's slice at torus weight
+``(a, b)``, so one enumeration binned by weight gives every count of the
+pair's column of lambdas, as in ``truncated_product``.  A lone query counts
+its two lambda-sections directly.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -170,8 +177,28 @@ def section_for(sigma: Weight, lam: tuple[int, int] | None = None) -> PolytopeSe
                                      _pool_box(sigma.l, rhs))
 
 
+def _torus_histogram(sigma: Weight) -> Counter:
+    """Points of the sigma-section counted by their torus weight ``(a, b)``."""
+    return Counter(lambda_weight_of(g, sigma.l)
+                   for g in enumerate_points(section_for(sigma)))
+
+
+# The histogram of the (mu, nu) pair that ``_validate_pair`` is working
+# through, keyed by its sigma: at most one entry, filled by the pair's first
+# polytope count.  None outside a pair, so a lone query scans its two
+# lambda-sections.
+_pair_memo: dict | None = None
+
+
 def polytope_counts(sigma: Weight, lam: Partition):
-    """Lattice counts of the two sections whose difference is the coefficient."""
+    """Lattice counts of the two sections whose difference is the coefficient.
+    Inside ``_validate_pair`` both are read from the pair's histogram."""
+    if _pair_memo is not None:
+        if sigma not in _pair_memo:
+            _pair_memo.clear()
+            _pair_memo[sigma] = _torus_histogram(sigma)
+        hist = _pair_memo[sigma]
+        return hist[lam[0], lam[1]], hist[lambda_omega(lam)]
     n_lam = count_points(section_for(sigma, (lam[0], lam[1])))
     n_omega = count_points(section_for(sigma, lambda_omega(lam)))
     return n_lam, n_omega
@@ -209,9 +236,7 @@ def truncated_product(mu: Partition, nu: Partition, l=None) -> symfunc.SchurExpa
     if l is None:
         l = _default_l(mu, nu)
     sigma = partitions_to_weight(mu, nu, l)
-    points = enumerate_points(section_for(sigma))
-    weights = [lambda_weight_of(g, l) for g in points]
-    return symfunc.schur_from_weights(weights)
+    return symfunc.schur_from_weights(_torus_histogram(sigma).elements())
 
 
 def lambda_weight_of(g, l: int) -> tuple[int, int]:
@@ -248,30 +273,45 @@ class CrossValidationReport:
 
 
 def _validate_pair(args):
+    """Every case of one ``(mu, nu)`` pair; their polytope counts share the
+    pair's one sigma-section histogram through ``_pair_memo``."""
+    global _pair_memo
     mu_parts, nu_parts, n = args
     mu = Partition(mu_parts)
     nu = Partition(nu_parts)
     out = []
-    for lam in partitions_of(n, max_length=2):
-        rep = kronecker(KroneckerQuery.create(mu, nu, lam), method="all")
-        out.append(((mu_parts, nu_parts, lam.parts), dict(rep.values)))
+    _pair_memo = {}
+    try:
+        for lam in partitions_of(n, max_length=2):
+            rep = kronecker(KroneckerQuery.create(mu, nu, lam), method="all")
+            out.append(((mu_parts, nu_parts, lam.parts), dict(rep.values)))
+    finally:
+        _pair_memo = None
     return out
+
+
+_CHUNK = 8
 
 
 def cross_validate(n_max: int, l_max: int, jobs: int = 1) -> CrossValidationReport:
     """Triple-oracle agreement over all sizes up to n_max with the stated
-    length caps; reports the first discrepancy, if any."""
+    length caps; reports the first discrepancy, if any.
+
+    The ``(mu, nu)`` pairs go out in chunks of eight, to at most ``jobs``
+    worker processes and never more workers than chunks."""
     report = CrossValidationReport()
     pairs = []
     for n in range(0, n_max + 1):
         for mu in partitions_of(n, max_length=l_max):
             for nu in partitions_of(n, max_length=l_max):
                 pairs.append((mu.parts, nu.parts, n))
+    # The pool forks every worker up front, so start no more than there are
+    # chunks to hand out, and none for a single chunk.
+    jobs = min(jobs, -(-len(pairs) // _CHUNK))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_validate_pair, pairs, chunksize=8)
-            results = list(chunks)
+            results = list(pool.map(_validate_pair, pairs, chunksize=_CHUNK))
     else:
         results = [_validate_pair(p) for p in pairs]
     for chunk in results:
