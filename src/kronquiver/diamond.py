@@ -44,9 +44,6 @@ class DiamondVertex:
         """The reflection (i;j,k) <-> (i;k,j) on both signs."""
         return DiamondVertex(self.sign, self.i, self.k, self.j)
 
-    def sort_key(self):
-        return (self.i, 0 if self.sign == 1 else 1, -self.j)
-
     def __str__(self):
         if self.sign == 1:
             return f"({self.i};{self.j},{self.k})+"
@@ -108,8 +105,9 @@ def diamond_arrows(l: int):
     doubled = (V(1, 1, 0, 1), V(1, 1, 1, 0), "C")
     if doubled in seen:
         seen[doubled] = 2
+    index = {v: n for n, v in enumerate(diamond_vertices(l))}
     return [(s, d, m, kind) for (s, d, kind), m in sorted(
-        seen.items(), key=lambda it: (it[0][0].sort_key(), it[0][1].sort_key(), it[0][2]))]
+        seen.items(), key=lambda it: (index[it[0][0]], index[it[0][1]], it[0][2]))]
 
 
 def sigma_tilde_row(v: DiamondVertex, l: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .cluster import LaurentPoly
-from .diamond import DiamondVertex, V, diamond_vertices
+from .diamond import PAPER_DIAMOND2_ALIAS, DiamondVertex, diamond_vertices
 from .lattice import PolytopeSection, count_points, section_to_hrep
 
 
@@ -411,12 +411,7 @@ def diamond2_fan() -> UnimodularFan:
         e[idx[v]] = 1
         return tuple(e)
 
-    e1 = unit(V(1, 1, 1, 0))
-    e2 = unit(V(1, 1, 0, 1))
-    e3 = unit(V(1, 2, 1, 1))
-    e4 = unit(V(-1, 2, 1, 1))
-    e5 = unit(V(1, 2, 2, 0))
-    e6 = unit(V(1, 2, 0, 2))
+    e1, e2, e3, e4, e5, e6 = (unit(PAPER_DIAMOND2_ALIAS[n]) for n in range(1, 7))
     e1p = tuple(a + b - c for a, b, c in zip(e3, e4, e1))
     e2c = tuple(a + b - c for a, b, c in zip(e6, e1, e2))
     frozen = (e5, e3, e6, e4)

@@ -2,6 +2,10 @@
 representations, and randomized exact verification of the initial-cluster
 exchange relations and group actions.
 
+The exchange relation at a mutable vertex u is read off the diamond quiver of
+``diamond.build_diamond``: s_u s'_u is the product of s_v over the arrows
+v -> u plus the product of s_v over the arrows u -> v, each with multiplicity.
+
 Conventions (calibrated once on the rank-2 closed formulas and frozen):
 vectors are rows, paths compose left to right, and the matrix of a path is
 the product of its arrow matrices in path order.  Substituting a presentation
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diamond import DiamondVertex, V, diamond_vertices
+from .diamond import DiamondVertex, V, build_diamond, diamond_vertices
 from .linalg import det_frac, identity, inverse, mat_mul
 
 
@@ -205,13 +209,8 @@ def eval_schofield(pres: PresentationMatrix, m: FlagRep) -> Fraction:
     return det_frac(full)
 
 
-_EMPTY = object()
-
-
-def s_value(v, m: FlagRep) -> Fraction:
-    """Initial semi-invariant at a vertex; the empty vertex evaluates to 1."""
-    if v is _EMPTY:
-        return Fraction(1)
+def s_value(v: DiamondVertex, m: FlagRep) -> Fraction:
+    """Initial semi-invariant at a vertex."""
     return eval_schofield(pres_initial(v), m)
 
 
@@ -237,28 +236,6 @@ def eval_initial(i, j, k, sign, m: FlagRep) -> Fraction:
     return eval_schofield(pres_initial(v), m)
 
 
-def _vertex_or_empty(sign, i, j, k):
-    if i == 0:
-        return _EMPTY
-    return V(sign, i, j, k)
-
-
-def exchange_terms(u: DiamondVertex):
-    """The two product sides of the exchange relation at a mutable vertex."""
-    i, j, k = u.i, u.j, u.k
-    s = u.sign
-    if not u.horizontal:
-        term1 = [V(s, i - 1, j - 1, k), V(s, i, j + 1, k - 1), V(s, i + 1, j, k + 1)]
-        term2 = [V(s, i - 1, j, k - 1), V(s, i, j - 1, k + 1), V(s, i + 1, j + 1, k)]
-    elif k == 0:  # (i;i,0)
-        term1 = [_vertex_or_empty(1, i - 1, i - 1, 0), V(-1, i + 1, i, 1), V(1, i + 1, i, 1)]
-        term2 = [_vertex_or_empty(-1, i, i - 1, 1), V(1, i, i - 1, 1), V(1, i + 1, i + 1, 0)]
-    else:  # (i;0,i)
-        term1 = [_vertex_or_empty(1, i - 1, 0, i - 1), V(-1, i + 1, 1, i), V(1, i + 1, 1, i)]
-        term2 = [_vertex_or_empty(-1, i, 1, i - 1), V(1, i, 1, i - 1), V(1, i + 1, 0, i + 1)]
-    return term1, term2
-
-
 @dataclass
 class VerifyReport:
     relation: str
@@ -277,25 +254,24 @@ class VerifyReport:
 
 
 def verify_exchange(l, trials=50, seed=0) -> VerifyReport:
-    """Exact check of the exchange relations at every mutable vertex on
-    random rational representations."""
+    """Exact check of the exchange relations at every mutable vertex of the
+    diamond quiver on random rational representations."""
     import random
     if l < 2:
         raise ValueError("need l >= 2 for a mutable vertex")
     rng = random.Random(seed)
-    vertices = diamond_vertices(l)
+    quiver, _config = build_diamond(l)
+    sides = [(u, quiver.incoming(u), quiver.outgoing(u))
+             for u in quiver.mutable_vertices]
     report = VerifyReport("exchange", trials)
     for t in range(trials):
         m = random_flag_rep(l, rng)
         # Each vertex's semi-invariant once per trial; the relations share them.
-        values = {v: s_value(v, m) for v in vertices}
-        values[_EMPTY] = Fraction(1)
-        # Every level below the frozen level l is mutable.
-        for u in (v for v in vertices if v.i < l):
-            term1, term2 = exchange_terms(u)
+        values = {v: s_value(v, m) for v in quiver.vertices}
+        for u, incoming, outgoing in sides:
             lhs = values[u] * s_prime_value(u, m)
-            rhs = math.prod((values[v] for v in term1), start=Fraction(1))
-            rhs += math.prod((values[v] for v in term2), start=Fraction(1))
+            rhs = math.prod((values[v] ** c for v, c in incoming), start=Fraction(1))
+            rhs += math.prod((values[v] ** c for v, c in outgoing), start=Fraction(1))
             report.checks += 1
             if lhs != rhs:
                 report.failures.append({

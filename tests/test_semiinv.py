@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from kronquiver.cluster import mutate_weight_config
 from kronquiver.diamond import V, build_diamond, diamond_vertices, sigma_tilde_row
 from kronquiver.linalg import mat_mul
 from kronquiver.semiinv import (FlagRep, det_frac, eval_initial, eval_schofield,
-                                exchange_terms, is_normalized,
+                                is_normalized,
                                 normalized_flag_rep, pres_initial, pres_mutated,
                                 random_flag_rep, restrict, s_prime_value,
                                 s_value, verify_exchange, verify_group_actions)
@@ -77,18 +78,40 @@ def test_exchange_relations():
     assert verify_exchange(3, trials=50, seed=7).ok
     rep = verify_exchange(4, trials=25, seed=7)
     assert rep.ok and rep.checks == 25 * 12
+    rep = verify_exchange(5, trials=5, seed=7)
+    assert rep.ok and rep.checks == 100
+    rep = verify_exchange(6, trials=2, seed=7)
+    assert rep.ok and rep.checks == 60
 
 
 def test_exchange_terms_degenerate_conventions():
-    # at (1;1,0): 1 * s_{1^2;2} s_{2;1^2} + s_{1;0,1}^2 s_{2;2,0}
-    term1, term2 = exchange_terms(V(1, 1, 1, 0))
-    names1 = [str(v) if hasattr(v, "i") else "1" for v in term1]
-    names2 = [str(v) if hasattr(v, "i") else "1" for v in term2]
-    assert names1 == ["1", "(1,1;2)-", "(2;1,1)+"]
-    assert names2 == ["(1;0,1)+", "(1;0,1)+", "(2;2,0)+"]
-    term1, term2 = exchange_terms(V(1, 1, 0, 1))
-    names2 = [str(v) if hasattr(v, "i") else "1" for v in term2]
-    assert names2 == ["(1;1,0)+", "(1;1,0)+", "(2;0,2)+"]
+    # at (1;1,0): s_{1;0,1}^2 s_{2;2,0} + 1 * s_{1^2;2} s_{2;1^2}, the doubled
+    # C arrow giving the square and level 0 giving no factor
+    quiver, _config = build_diamond(2)
+
+    def named(pairs):
+        return {str(v): c for v, c in pairs}
+
+    assert named(quiver.incoming(V(1, 1, 1, 0))) == {"(1;0,1)+": 2, "(2;2,0)+": 1}
+    assert named(quiver.outgoing(V(1, 1, 1, 0))) == {"(1,1;2)-": 1, "(2;1,1)+": 1}
+    assert named(quiver.outgoing(V(1, 1, 0, 1))) == {"(1;1,0)+": 2, "(2;0,2)+": 1}
+
+
+def test_mutated_torus_weight():
+    # s'_u scales under the torus by the (j, k) part of its mutated weight row
+    rng = random.Random(12)
+    for l in (2, 3, 4):
+        quiver, config = build_diamond(l)
+        for u in quiver.mutable_vertices:
+            a, b = mutate_weight_config(quiver, config, u)[u][-2:]
+            for _ in range(3):
+                m = random_flag_rep(l, rng)
+                t1, t2 = rng.randint(2, 9), rng.randint(2, 9)
+                value = s_prime_value(u, m)
+                # a zero value would satisfy every weight
+                assert value != 0, (l, u)
+                assert s_prime_value(u, m.transform(t1=t1, t2=t2)) == \
+                    t1 ** a * t2 ** b * value, (l, u)
 
 
 def test_group_actions():
