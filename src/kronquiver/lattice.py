@@ -11,8 +11,12 @@ the box) bounds the rest; a depth-first scan with per-node propagation then
 keeps each leaf that meets the same rows in integer arithmetic.  Root
 propagation starts from the section's ``box`` when it carries one (the
 engine's rank-4 sections do: a box proved by LP dual certificates), and from
-an all-open box otherwise.  ``diagnose`` is ``lp_box`` on a box with every
-side open, whatever the section carries.  No floating point anywhere.
+an all-open box otherwise, with every row queued.  Each section keeps the
+watch lists of its rows (``watch``), and a node queues only the rows that
+watch a coordinate whose bounds differ from its parent's fixpoint box: the
+one its branch fixed, or at the first node the sides the LP closed (none
+when propagation closed the box).  ``diagnose`` is ``lp_box`` on a box with
+every side open, whatever the section carries.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class PolytopeSection:
         for a, b in self.equalities:
             terms = _terms(a)
             self.rows += [(terms, b), (tuple((i, -c) for i, c in terms), -b)]
+        self.watch = linalg.watch_lists(self.rows, dim)
 
     @classmethod
     def from_cone(cls, cone, equalities=(), box=None):
@@ -88,10 +93,12 @@ def _scan(section: PolytopeSection) -> list:
     if eq_rows and linalg.solve_integer_system(eq_rows, eq_rhs) is None:
         return []
     lo, hi = section.box or ([None] * section.dim, [None] * section.dim)
-    box = linalg.propagate_box(section.rows, lo, hi)
+    box = linalg.propagate_box(section.rows, lo, hi, watch=section.watch)
     if box is None:
         return []
     lo, hi = box
+    # The box is at a fixpoint of the rows except where the LP closes a side.
+    lp_closed = [i for i in range(section.dim) if lo[i] is None or hi[i] is None]
     status = linalg.lp_box(section.ineqs, [0] * len(section.ineqs), eq_rows, eq_rhs, lo, hi)
     if status == INFEASIBLE:
         return []
@@ -101,8 +108,10 @@ def _scan(section: PolytopeSection) -> list:
         raise SectionError(UNBOUNDED, f"coordinate {i} has no finite {side}")
     points = []
 
-    def descend(lo, hi):
-        box = linalg.propagate_box(section.rows, lo, hi, max_rounds=6)
+    def descend(lo, hi, changed):
+        # Only the rows watching a changed coordinate can tighten the box.
+        box = linalg.propagate_box(section.rows, lo, hi, max_rounds=6,
+                                   watch=section.watch, changed=changed)
         if box is None:
             return
         lo, hi = box
@@ -112,13 +121,14 @@ def _scan(section: PolytopeSection) -> list:
                 points.append(tuple(lo))
             return
         _, var = min(widths)
+        changed = (var,)
+        # propagate_box copies its arguments, so one pair of lists serves
+        # every branch.
         for val in range(lo[var], hi[var] + 1):
-            nlo = list(lo)
-            nhi = list(hi)
-            nlo[var] = nhi[var] = val
-            descend(nlo, nhi)
+            lo[var] = hi[var] = val
+            descend(lo, hi, changed)
 
-    descend(lo, hi)
+    descend(lo, hi, lp_closed)
     return points
 
 

@@ -15,12 +15,17 @@ section with ``solve_lp``.  ``solve_integer_system`` uses unimodular integer
 column operations instead.  ``propagate_box`` takes sparse rows
 ``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``, whose terms
 are the nonzero ``(index, coeff)`` pairs only: a zero coefficient would
-divide by zero.  No floating point is used anywhere.
+divide by zero.  It is one queue of rows, as in AC-3 (Mackworth, 1977): a
+row that tightens a coordinate queues the rows on ``watch_lists`` of that
+coordinate, so a caller that moved a few coordinates of a box at a fixpoint
+starts the queue from their watchers (``changed``) instead of every row, and
+a cap on row visits bounds the work.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -196,58 +201,102 @@ def solve_integer_system(eq_rows, rhs):
 # Integer boxes: interval propagation and exact LP bounds.  Bounds are ints
 # or None (=inf).
 
-def propagate_box(rows, lower, upper, max_rounds=None):
+def watch_lists(rows, dim):
+    """For each coordinate ``i < dim``, the indices of the sparse rows that
+    have a term on ``i``, in row order."""
+    watch = [[] for _ in range(dim)]
+    for k, (terms, _) in enumerate(rows):
+        for i, _ in terms:
+            watch[i].append(k)
+    return [tuple(w) for w in watch]
+
+
+def propagate_box(rows, lower, upper, max_rounds=None, watch=None, changed=None):
     """Tighten per-variable integer bounds against rows ``a . x >= r``.
 
     ``rows`` is a list of sparse rows ``(terms, r)``: ``terms`` holds the
     ``(index, coeff)`` pairs of the row's nonzero coefficients, each index at
     most once.  A zero coefficient is not allowed: it would divide by zero.
-    Returns ``(lower, upper)`` lists (entries may stay None) or ``None`` when
-    a row is provably unsatisfiable.  Sound: never cuts off an integer
-    solution.
+    Returns new ``(lower, upper)`` lists (entries may stay None) or ``None``
+    when a row is provably unsatisfiable or the given sides of a coordinate in
+    ``changed`` (of any coordinate when None) cross; the arguments are not
+    changed.  Sound: never cuts off an integer solution.
 
-    One pass over a row's terms sums its slack ``a . x - r`` with each term at
-    its best side of the box and lists the terms whose best side is open.  A
-    row with two or more open terms bounds nothing; with one it bounds that
-    term; with none a negative slack is infeasible, and otherwise it bounds
-    every term.
+    One queue of rows drives the work (the watch lists of AC-3).  ``watch[i]``
+    lists the rows with a term on coordinate ``i`` (``watch_lists(rows,
+    len(lower))`` when None).  ``changed`` lists the coordinates whose bounds
+    differ from a box that was at a fixpoint of ``rows``, and only their
+    watchers start in the queue; None queues every row.  A visit to a row
+    sums its slack ``a . x - r`` with each term at its best side of the box
+    and lists the terms whose best side is open.  A row with two or more open
+    terms bounds nothing; with one it bounds that term; with none a negative
+    slack is infeasible, and otherwise it bounds every term.  A tightened
+    coordinate queues its watchers that are not queued yet; the visited row
+    itself is left out, since its own bounds leave its slack unchanged.  The
+    queue empties at the fixpoint, or the work stops after ``max_rounds *
+    len(rows)`` visits (``4 * (len(lower) + 1)`` rounds by default), which
+    is still sound.
     """
     lo = list(lower)
     hi = list(upper)
     if max_rounds is None:
         max_rounds = 4 * (len(lo) + 1)
-    for _ in range(max_rounds):
-        changed = False
-        for terms, r in rows:
-            slack = -r
-            open_terms = []
-            for i, a in terms:
-                b = hi[i] if a > 0 else lo[i]
-                if b is None:
-                    open_terms.append((i, a))
-                else:
-                    slack += a * b
-            if len(open_terms) > 1:
-                continue
-            if not open_terms and slack < 0:
-                return None
-            # a*x_i >= a*b - slack, with b the best side of x_i (0 for the open
-            # term, which the slack leaves out); dividing by a rounds inward.
-            for i, a in open_terms or terms:
-                if a > 0:
-                    bound = (0 if open_terms else hi[i]) - slack // a
-                    if lo[i] is None or bound > lo[i]:
-                        lo[i] = bound
-                        changed = True
-                else:
-                    bound = (0 if open_terms else lo[i]) + slack // -a
-                    if hi[i] is None or bound < hi[i]:
-                        hi[i] = bound
-                        changed = True
-                if lo[i] is not None and hi[i] is not None and lo[i] > hi[i]:
-                    return None
-        if not changed:
+    if watch is None:
+        watch = watch_lists(rows, len(lo))
+    # A side crossed on input is checked here, since a row checks only the
+    # sides it tightens.
+    for i in range(len(lo)) if changed is None else changed:
+        if lo[i] is not None and hi[i] is not None and lo[i] > hi[i]:
+            return None
+    if changed is None:
+        queue = deque(range(len(rows)))
+        queued = [True] * len(rows)
+    else:
+        queue = deque()
+        queued = [False] * len(rows)
+        for i in changed:
+            for k in watch[i]:
+                if not queued[k]:
+                    queued[k] = True
+                    queue.append(k)
+    for _ in range(max_rounds * len(rows)):
+        if not queue:
             break
+        k = queue.popleft()
+        terms, r = rows[k]
+        slack = -r
+        open_terms = []
+        for i, a in terms:
+            b = hi[i] if a > 0 else lo[i]
+            if b is None:
+                open_terms.append((i, a))
+            else:
+                slack += a * b
+        if len(open_terms) > 1:
+            queued[k] = False
+            continue
+        if not open_terms and slack < 0:
+            return None
+        # a*x_i >= a*b - slack, with b the best side of x_i (0 for the open
+        # term, which the slack leaves out); dividing by a rounds inward.
+        for i, a in open_terms or terms:
+            if a > 0:
+                bound = (0 if open_terms else hi[i]) - slack // a
+                if lo[i] is not None and bound <= lo[i]:
+                    continue
+                lo[i] = bound
+            else:
+                bound = (0 if open_terms else lo[i]) + slack // -a
+                if hi[i] is not None and bound >= hi[i]:
+                    continue
+                hi[i] = bound
+            if lo[i] is not None and hi[i] is not None and lo[i] > hi[i]:
+                return None
+            for w in watch[i]:
+                if not queued[w]:
+                    queued[w] = True
+                    queue.append(w)
+        queued[k] = False
     return lo, hi
 
 

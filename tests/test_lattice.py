@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -223,8 +224,8 @@ def test_scan_work_is_pinned_on_a_ladder_section(monkeypatch):
     calls = {"root": 0, "node": 0, "pruned": 0}
     propagate = linalg.propagate_box
 
-    def counted(rows, lower, upper, max_rounds=None):
-        box = propagate(rows, lower, upper, max_rounds)
+    def counted(rows, lower, upper, max_rounds=None, **kwargs):
+        box = propagate(rows, lower, upper, max_rounds, **kwargs)
         calls["root" if max_rounds is None else "node"] += 1
         calls["pruned"] += max_rounds is not None and box is None
         return box
@@ -234,3 +235,23 @@ def test_scan_work_is_pinned_on_a_ladder_section(monkeypatch):
     points = enumerate_points(section_for(sigma, (10, 10)))
     assert len(points) == 12
     assert calls == {"root": 1, "node": 71, "pruned": 38}
+
+
+# The lambda-sections of the four ladder queries, one at each of l = 3, 4, 5
+# and 6 (only l = 4 carries a certified root box): the number of points and
+# the sha1 of their sorted list, as the round-based propagation scan found
+# them.
+LADDER_POINTS = [
+    ((5, 4, 3), (4, 3, 2, 2, 1), (9, 3), 5, 2, "6e889317cca5dd73ccc0fcfc80a28d14fd084631"),
+    ((6, 6, 6), (6, 6, 6), (9, 9), 3, 8, "f66a3dc8cb1986e7e48876b5344f43ba80a6790e"),
+    ((5, 5, 5, 5), (5, 5, 5, 5), (10, 10), 4, 12, "7da1800355e5dcac453235c714e803f708026192"),
+    ((7, 6, 5), (5, 4, 3, 3, 2, 1), (12, 6), 6, 2, "2586fd73c573282b1ebad55a0a2872c53db99c45"),
+]
+
+
+@pytest.mark.parametrize("mu, nu, lam, l, count, sha1", LADDER_POINTS)
+def test_ladder_point_lists_are_pinned(mu, nu, lam, l, count, sha1):
+    sigma = partitions_to_weight(Partition(mu), Partition(nu), l)
+    points = enumerate_points(section_for(sigma, lam))
+    assert len(points) == count
+    assert hashlib.sha1(repr(points).encode()).hexdigest() == sha1

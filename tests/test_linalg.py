@@ -376,8 +376,11 @@ def test_propagate_box_never_cuts_off_an_integer_solution():
                   if all(dot(a, x) >= r for a, r in rows)]
         # The same rows in the sparse form propagate_box takes.
         sparse = [(tuple((i, c) for i, c in enumerate(a) if c), r) for a, r in rows]
-        for max_rounds in (None, 1, 6):
-            box = propagate_box(sparse, given_lo, given_hi, max_rounds=max_rounds)
+        # A changed start queues only the rows watching its coordinates,
+        # which is still sound whatever box it is given.
+        for max_rounds, changed in ((None, None), (1, None), (6, None), (6, (n - 1,))):
+            box = propagate_box(sparse, given_lo, given_hi, max_rounds=max_rounds,
+                                changed=changed)
             if box is None:
                 assert points == [], (rows, given_lo, given_hi)
                 pruned += max_rounds is None
@@ -394,6 +397,48 @@ def test_propagate_box_tightens_a_copy():
     # x0 - x1 >= 1 as the sparse row ((index, coeff), ...), r.
     assert propagate_box([(((0, 1), (1, -1)), 1)], lower, upper) == ([1, 0], [3, 2])
     assert (lower, upper) == ([0, 0], [3, 3])
+
+
+def test_propagate_box_prunes_crossed_sides_it_is_given():
+    # x1 >= 0 never tightens x0, so the crossed sides of x0 are caught at
+    # the start: always from a full queue, and from a changed start that
+    # names x0.
+    rows = [(((1, 1),), 0)]
+    assert propagate_box(rows, [3, 0], [1, 2]) is None
+    assert propagate_box(rows, [3, 0], [1, 2], changed=(0,)) is None
+
+
+def test_a_changed_start_reaches_the_full_queue_fixpoint():
+    # From a root box at the rows' fixpoint, fixing one coordinate and
+    # queueing only its watchers gives the box (or the prune) that queueing
+    # every row gives, and neither call edits the lists it is given.
+    rng = random.Random(5)
+    fixed = 0
+    for l in (2, 3, 4, 5):
+        for _ in range(2):
+            n = rng.randint(l, l + 3)
+            shapes = list(partitions_of(n, max_length=l))
+            lam = rng.choice(list(partitions_of(n, max_length=2)) + [None])
+            if lam is not None:
+                lam = (lam[0], lam[1])
+            section = engine.section_for(partitions_to_weight(rng.choice(shapes),
+                                                              rng.choice(shapes), l), lam)
+            start = section.box or ([None] * section.dim, [None] * section.dim)
+            root = propagate_box(section.rows, *start)
+            if root is None:
+                continue
+            for i, (a, b) in enumerate(zip(*root)):
+                for v in range(a, b + 1):
+                    lo, hi = list(root[0]), list(root[1])
+                    lo[i] = hi[i] = v
+                    given = (list(lo), list(hi))
+                    full = propagate_box(section.rows, lo, hi)
+                    queued = propagate_box(section.rows, lo, hi, watch=section.watch,
+                                           changed=(i,))
+                    assert queued == full, (l, i, v)
+                    assert (lo, hi) == given
+                    fixed += 1
+    assert fixed > 100
 
 
 def test_solve_integer_system_solves_or_proves_no_solution():

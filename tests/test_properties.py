@@ -1,7 +1,7 @@
 """Property tests: random triples beyond the fixed acceptance cases, counts
-that agree across mu <-> nu and across conjugation to another rank, the
-truncated product and the Kronecker semigroup against the lr oracle, and the
-rectangular ladder at l = 4."""
+that agree across mu <-> nu, across conjugation to another rank and from
+l = 3 to 4 to 5, the truncated product and the Kronecker semigroup against
+the lr oracle, and the rectangular ladder at l = 4."""
 
 import pytest
 from hypothesis import given, settings
@@ -69,11 +69,11 @@ def test_conjugation_across_ranks_keeps_the_counts(triple):
 
 
 @st.composite
-def rank3_triples(draw):
-    """(mu, nu, lambda): |mu| = |nu| = |lambda| = n <= 10, mu and nu with at
-    most three rows, lambda with at most two."""
-    n = draw(st.integers(1, 10))
-    shapes = list(partitions_of(n, max_length=3))
+def ranked_triples(draw, max_n, rows):
+    """(mu, nu, lambda): |mu| = |nu| = |lambda| = n <= max_n, mu and nu with at
+    most ``rows`` rows, lambda with at most two."""
+    n = draw(st.integers(1, max_n))
+    shapes = list(partitions_of(n, max_length=rows))
     mu = draw(st.sampled_from(shapes))
     nu = draw(st.sampled_from(shapes))
     lam = draw(st.sampled_from(list(partitions_of(n, max_length=2))))
@@ -81,7 +81,7 @@ def rank3_triples(draw):
 
 
 @PROPERTY
-@given(rank3_triples())
+@given(ranked_triples(10, 3))
 def test_rank_stability_from_l3_to_the_certified_l4(triple):
     # l = 3 has no certificate table and l = 4 does, so this checks the scan
     # from the certified root box against the scan without one.  Both section
@@ -90,6 +90,16 @@ def test_rank_stability_from_l3_to_the_certified_l4(triple):
     at4 = kronecker(KroneckerQuery(*triple, 4), "polytope")
     assert at3.g == at4.g, (at3.counts, at4.counts)
     assert at3.counts == at4.counts, (at3.counts, at4.counts)
+
+
+@PROPERTY
+@given(ranked_triples(9, 4))
+def test_rank_stability_from_the_certified_l4_to_l5(triple):
+    # l = 5 has no certificate table, so its scan starts from the box that
+    # root propagation alone proves; l = 4 starts from the certified box.
+    at4 = kronecker(KroneckerQuery(*triple, 4), "polytope")
+    at5 = kronecker(KroneckerQuery(*triple, 5), "polytope")
+    assert at4.counts == at5.counts, (at4.counts, at5.counts)
 
 
 @st.composite
