@@ -22,7 +22,7 @@ import random
 from pathlib import Path
 
 from kronquiver import linalg
-from kronquiver.engine import _cone, _grading
+from kronquiver.engine import _cone, _grading, _side_bound
 from kronquiver.partitions import partitions_of, partitions_to_weight
 
 L = 4
@@ -30,13 +30,6 @@ SEED = 11
 COUNT = 16
 N_MAX = 8
 OUT = Path(__file__).resolve().parent.parent / "src" / "kronquiver" / "_certificates.py"
-
-
-def bound(certs, b, sense):
-    """The tightest rounded bound the certificates give on one side."""
-    if sense == "max":
-        return min((linalg.dot(y, b) // d for y, _, d in certs), default=None)
-    return max((-(-linalg.dot(y, b) // d) for y, _, d in certs), default=None)
 
 
 def family():
@@ -57,14 +50,14 @@ def harvest():
         sigma = partitions_to_weight(mu, nu, L)
         for torus in (False, True):
             rhs = sigma.neg + sigma.pos + ((lam[0], lam[1]) if torus else ())
-            grading = _grading(L)[:len(rhs)]
+            grading = _grading(L, torus)
             lo, hi = [None] * dim, [None] * dim
             if linalg.lp_box(rows, [0] * len(rows), grading, rhs, lo, hi) != linalg.BOUNDED:
                 continue
             for i in range(dim):
                 for sense, optimum in (("min", lo[i]), ("max", hi[i])):
                     certs = table.setdefault((L, torus, i, sense), [])
-                    if bound(certs, rhs, sense) != optimum:
+                    if _side_bound(certs, rhs, sense) != optimum:
                         certs.append(linalg.dual_certificate(rows, grading, rhs, i, sense))
     return table
 

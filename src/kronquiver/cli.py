@@ -60,10 +60,12 @@ def _int_at_least(low):
 _positive_int = _int_at_least(1)
 
 
-def _emit(payload, fmt, text_renderer):
+def _emit(payload, fmt, text_lines):
+    """The one output path: the payload as JSON, or the lines that
+    ``text_lines`` renders from it."""
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
-    return text_renderer(payload)
+    return "\n".join(text_lines(payload)) + "\n"
 
 
 def _vertex_lines(l):
@@ -92,7 +94,7 @@ def cmd_coeff(args):
             lines.append(f"{m} = {v}")
         lines.append(f"g = {p['g']}")
         lines.append(f"agree: {'yes' if p['agree'] else 'NO'}")
-        return "\n".join(lines) + "\n"
+        return lines
 
     out = _emit(payload, args.format, text)
     return (EXIT_OK if report.agree else EXIT_DISAGREE), out
@@ -106,14 +108,13 @@ def cmd_truncated(args):
         "expansion": {f"({p})": c for p, c in expansion.items()},
         "pretty": str(expansion),
     }
-    return EXIT_OK, _emit(payload, args.format, lambda p: p["pretty"] + "\n")
+    return EXIT_OK, _emit(payload, args.format, lambda p: [p["pretty"]])
 
 
 def cmd_cone(args):
     cone = cone_inequalities(args.l)
-    if args.format == "json":
-        return EXIT_OK, json.dumps(cone.to_json_dict(), indent=2) + "\n"
-    return EXIT_OK, cone.to_hrep()
+    return EXIT_OK, _emit(cone.to_json_dict(), args.format,
+                          lambda p: cone.to_hrep().splitlines())
 
 
 def cmd_enumerate(args):
@@ -131,21 +132,17 @@ def cmd_enumerate(args):
         lam = (p[0], p[1])
     l = sigma.l
     points = enumerate_points(engine.section_for(sigma, lam))
-    weights = [engine.lambda_weight_of(g, l) for g in points]
-    if args.format == "json":
-        payload = {
-            "l": l, "sigma": str(sigma),
-            "vertices": [str(v) for v in diamond_vertices(l)],
-            "points": [{"g": list(g), "lambda_weight": list(w)}
-                       for g, w in zip(points, weights)],
-            "count": len(points),
-        }
-        if l == 2:
-            payload["paper_alias"] = {str(n): str(v) for n, v in PAPER_DIAMOND2_ALIAS.items()}
-        return EXIT_OK, json.dumps(payload, indent=2) + "\n"
-    lines = _vertex_lines(l)
-    lines += [" ".join(str(x) for x in g) for g in points]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    payload = {
+        "l": l, "sigma": str(sigma),
+        "vertices": [str(v) for v in diamond_vertices(l)],
+        "points": [{"g": list(g), "lambda_weight": list(engine.lambda_weight_of(g, l))}
+                   for g in points],
+        "count": len(points),
+    }
+    if l == 2:
+        payload["paper_alias"] = {str(n): str(v) for n, v in PAPER_DIAMOND2_ALIAS.items()}
+    return EXIT_OK, _emit(payload, args.format,
+                          lambda p: _vertex_lines(l) + [" ".join(map(str, g)) for g in points])
 
 
 def cmd_hilbert(args):
@@ -169,7 +166,7 @@ def cmd_hilbert(args):
         for t in p["denominator"]:
             lines.append(f"  w={tuple(t['vector'])} x{t['multiplicity']}")
         lines.append(f"matches closed form: {'yes' if p['matches_closed_form'] else 'NO'}")
-        return "\n".join(lines) + "\n"
+        return lines
 
     return (EXIT_OK if matches else EXIT_DISAGREE), _emit(payload, args.format, text)
 
@@ -207,7 +204,7 @@ def cmd_phi(args):
         else:
             for name, row in zip(p["rows"], p["matrix"]):
                 lines.append(f"{name}: " + " ".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
+        return lines
 
     return EXIT_OK, _emit(payload, args.format, text)
 
@@ -236,11 +233,8 @@ def cmd_verify(args):
         payload = report.to_json_dict()
         ok = report.all_agree
 
-    def text(p):
-        lines = [f"{k}: {v}" for k, v in p.items()]
-        return "\n".join(lines) + "\n"
-
-    return (EXIT_OK if ok else EXIT_DISAGREE), _emit(payload, fmt, text)
+    return (EXIT_OK if ok else EXIT_DISAGREE), _emit(
+        payload, fmt, lambda p: [f"{k}: {v}" for k, v in p.items()])
 
 
 def _available_cpus() -> int:
@@ -265,8 +259,7 @@ def build_parser():
     p.add_argument("--nu", required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("--l", type=_positive_int, default=None)
-    p.add_argument("--method", default="all",
-                   choices=["all", "polytope", "characters", "lr"])
+    p.add_argument("--method", default="all", choices=["all", *engine.METHODS])
     p.add_argument("--format", default="text", choices=["json", "text"])
     p.set_defaults(handler=cmd_coeff)
 
@@ -290,34 +283,23 @@ def build_parser():
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", help="verification suites")
+    p.set_defaults(handler=cmd_verify)
     vsub = p.add_subparsers(dest="suite", required=True)
-    v = vsub.add_parser("exchange")
-    v.add_argument("--l", type=_positive_int, required=True)
-    v.add_argument("--trials", type=_positive_int, default=50)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--format", default="json", choices=["json", "text"])
-    v.set_defaults(handler=cmd_verify)
-    v = vsub.add_parser("actions")
-    v.add_argument("--l", type=_positive_int, required=True)
-    v.add_argument("--trials", type=_positive_int, default=20)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--format", default="json", choices=["json", "text"])
-    v.set_defaults(handler=cmd_verify)
-    v = vsub.add_parser("fan")
-    v.add_argument("--format", default="json", choices=["json", "text"])
-    v.set_defaults(handler=cmd_verify)
-    v = vsub.add_parser("tu")
-    v.add_argument("--l", type=_positive_int, required=True)
-    v.add_argument("--format", default="json", choices=["json", "text"])
-    v.set_defaults(handler=cmd_verify)
-    v = vsub.add_parser("cross")
+    suites = {name: vsub.add_parser(name)
+              for name in ("exchange", "actions", "fan", "tu", "cross")}
+    for name, trials in (("exchange", 50), ("actions", 20)):
+        suites[name].add_argument("--l", type=_positive_int, required=True)
+        suites[name].add_argument("--trials", type=_positive_int, default=trials)
+        suites[name].add_argument("--seed", type=int, default=0)
+    suites["tu"].add_argument("--l", type=_positive_int, required=True)
+    v = suites["cross"]
     v.add_argument("--n-max", type=_int_at_least(0), required=True)
     v.add_argument("--l-max", type=_positive_int, required=True)
     v.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes, at most one per 8 (mu, nu) pairs; "
                         "defaults to the available parallelism")
-    v.add_argument("--format", default="json", choices=["json", "text"])
-    v.set_defaults(handler=cmd_verify)
+    for v in suites.values():
+        v.add_argument("--format", default="json", choices=["json", "text"])
 
     p = sub.add_parser("hilbert", help="Hilbert series of a known fan")
     p.add_argument("which", choices=["diamond2"])

@@ -2,12 +2,14 @@
 products by lattice-point counting in diamond-quiver cone sections, with the
 classical character and LR oracles for cross-validation.
 
-Every section of rank 4 carries a root box proved by a committed table of LP
-dual certificates (``_certificates.py``, written by
+A section's layout is ``(l, torus)``: its rank, and whether the torus weight is
+fixed (a lambda-section) or free (a sigma-section); ``section_for`` picks it
+once.  Every rank-4 section carries a root box proved by a committed table of
+LP dual certificates (``_certificates.py``, written by
 ``scripts/gen_certificates.py``).  A certificate's bound holds for every
-right-hand side of the same rank and equality rows, so the box costs a few dot
-products per side; ``_certificates`` checks the whole table in integer
-arithmetic on the first rank-4 section and raises on a bad entry.  Other
+right-hand side of its layout, so the box costs a few dot products per side;
+``_certificates(l, torus)`` checks its layout's entries on first use, and
+``_side_bound`` rounds them, for the engine and the generator alike.  Other
 ranks have no table, and their sections carry no box.
 
 ``cross_validate`` counts one sigma-section per ``(mu, nu)`` pair: the
@@ -100,39 +102,40 @@ def _cone(l: int):
 
 
 @lru_cache(maxsize=None)
-def _grading(l: int):
-    """The graded weight as 2l + 2 functionals over the cone coordinates: the
-    flag coordinates (sigma(-1..-l), sigma(1..l)), then the torus pair (j, k)."""
-    return tuple(zip(*(sigma_tilde_row(v, l) for v in _cone(l).vertices)))
+def _grading(l: int, torus: bool):
+    """The equality rows of a rank-``l`` section, as functionals over the cone
+    coordinates: the 2l flag coordinates (sigma(-1..-l), sigma(1..l)), then,
+    with ``torus``, the torus pair (j, k)."""
+    rows = tuple(zip(*(sigma_tilde_row(v, l) for v in _cone(l).vertices)))
+    return rows if torus else rows[:2 * l]
 
 
 @lru_cache(maxsize=None)
-def _certificates(l: int) -> dict:
-    """The committed LP dual certificates of rank ``l``, each checked here.
+def _certificates(l: int, torus: bool) -> list:
+    """The committed LP dual certificates of the rank-``l`` sections whose
+    equality rows are ``E = _grading(l, torus)``, each checked here.
 
-    Keys are ``(torus, i, sense)``: whether the torus rows are among the
-    section's equality rows ``E``, a coordinate, and ``"min"`` or ``"max"``.
-    Values are lists of ``(y, d)`` pairs, read from the table's
-    ``"y / z / d"`` text.  Each entry must satisfy, in integers,
+    Returns one ``(i, sense, certs)`` per certified side: a coordinate,
+    ``"min"`` or ``"max"``, and a list of ``(y, d)`` pairs read from the
+    table's ``"y / z / d"`` text.  Each entry must satisfy, in integers,
     ``E^T y - d e_i = s A^T z`` with ``z >= 0`` and ``d > 0``, where ``A`` holds
     the cone rows and ``s`` is 1 for max and -1 for min.  Weak duality then
     gives ``d g_i <= y . b`` (max) or ``d g_i >= y . b`` (min) on every
     section with right-hand side ``b``, so ``z`` is dropped once checked.  A
     bad entry raises ValueError.
     ``scripts/gen_certificates.py`` writes the table; it is read on the first
-    section of rank ``l``, never at import.
+    section of the layout, never at import.
     """
     from ._certificates import CERTIFICATES
     rows = _cone(l).row_vectors()
-    row_cols = list(zip(*rows))
-    pool = {}
-    for (rank, torus, i, sense), texts in CERTIFICATES.items():
-        if rank != l:
+    grading = _grading(l, torus)
+    columns = list(enumerate(zip(zip(*grading), zip(*rows))))
+    pool = []
+    for (rank, t, i, sense), texts in CERTIFICATES.items():
+        if (rank, t) != (l, torus):
             continue
-        grading = _grading(l) if torus else _grading(l)[:2 * l]
-        columns = list(enumerate(zip(zip(*grading), row_cols)))
         s = 1 if sense == "max" else -1
-        certs = pool[torus, i, sense] = []
+        certs = []
         for text in texts:
             y, z, d = text.split(" / ")
             y, z, d = tuple(map(int, y.split())), tuple(map(int, z.split())), int(d)
@@ -143,38 +146,36 @@ def _certificates(l: int) -> dict:
                 raise ValueError(f"bad dual certificate for l={l} torus={torus} "
                                  f"coordinate {i} {sense}")
             certs.append((y, d))
+        pool.append((i, sense, certs))
     return pool
 
 
-def _pool_box(l: int, rhs: tuple):
-    """The root box that the rank-``l`` certificates prove for the section
-    with right-hand side ``rhs``: each side the tightest of its certificate
-    bounds, rounded inward.  None when rank ``l`` has no table."""
-    pool = _certificates(l)
-    if not pool:
-        return None
-    torus = len(rhs) > 2 * l
-    lo = [None] * _cone(l).dim
-    hi = list(lo)
-    for (t, i, sense), certs in pool.items():
-        if t == torus:
-            if sense == "max":
-                hi[i] = min(dot(y, rhs) // d for y, d in certs)
-            else:
-                lo[i] = max(-(-dot(y, rhs) // d) for y, d in certs)
-    return lo, hi
+def _side_bound(certs, rhs, sense):
+    """The tightest bound that ``certs`` prove on one side of the section with
+    right-hand side ``rhs``, rounded inward; None when there are none.  A
+    certificate's first entry is ``y`` and its last ``d``, so ``(y, d)`` pairs
+    and ``(y, z, d)`` triples both serve."""
+    if sense == "max":
+        return min((dot(c[0], rhs) // c[-1] for c in certs), default=None)
+    return max((-(-dot(c[0], rhs) // c[-1]) for c in certs), default=None)
 
 
 def section_for(sigma: Weight, lam: tuple[int, int] | None = None) -> PolytopeSection:
     """Cone section with the flag-weight equalities and, optionally, the
     equalities of the torus weight ``lam = (a, b)``, carrying the certified
-    root box where the rank has a certificate table."""
+    root box where the rank has certificates for these equality rows."""
+    l, torus = sigma.l, lam is not None
     rhs = sigma.neg + sigma.pos
-    if lam is not None:
+    if torus:
         rhs += lam
-    # Without lam, zip stops before the two torus rows.
-    return PolytopeSection.from_cone(_cone(sigma.l), zip(_grading(sigma.l), rhs),
-                                     _pool_box(sigma.l, rhs))
+    box = None
+    pool = _certificates(l, torus)
+    if pool:
+        lo, hi = [None] * _cone(l).dim, [None] * _cone(l).dim
+        for i, sense, certs in pool:
+            (hi if sense == "max" else lo)[i] = _side_bound(certs, rhs, sense)
+        box = lo, hi
+    return PolytopeSection.from_cone(_cone(l), zip(_grading(l, torus), rhs), box)
 
 
 def _torus_histogram(sigma: Weight) -> Counter:
@@ -242,12 +243,12 @@ def truncated_product(mu: Partition, nu: Partition, l=None) -> symfunc.SchurExpa
 def lambda_weight_of(g, l: int) -> tuple[int, int]:
     """Torus weight ``(a, b)`` of a cone point: pairing with the (j, k)
     grading rows."""
-    return tuple(dot(row, g) for row in _grading(l)[2 * l:])
+    return tuple(dot(row, g) for row in _grading(l, True)[2 * l:])
 
 
 def sigma_weight_of(g, l: int) -> tuple:
     """Flag weight of a cone point: pairing with the flag grading rows."""
-    return tuple(dot(row, g) for row in _grading(l)[:2 * l])
+    return tuple(dot(row, g) for row in _grading(l, False))
 
 
 @dataclass

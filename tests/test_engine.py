@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from kronquiver import _certificates, engine
+from kronquiver import _certificates, engine, linalg
 from kronquiver.diamond import PAPER_DIAMOND2_ALIAS, diamond_vertices
 from kronquiver.engine import (KroneckerQuery, cross_validate, kronecker,
                                lambda_weight_of, polytope_counts, section_for,
@@ -200,10 +200,12 @@ def test_report_json_shape():
 # ---------------------------------------------------------------------------
 # The certified root box at l = 4.
 
+@pytest.mark.parametrize("torus", [True, False])
 @pytest.mark.parametrize("part", [0, 1])
-def test_certificate_loader_rejects_a_tampered_entry(monkeypatch, part):
-    # One entry of y (part 0) or of z (part 1) raised by one.
-    key = (4, True, 3, "max")
+def test_certificate_loader_rejects_a_tampered_entry(monkeypatch, part, torus):
+    # One entry of y (part 0) or of z (part 1) raised by one, in the pool of
+    # the lambda-sections (torus rows present) or of the sigma-sections.
+    key = (4, torus, 3, "max")
     table = dict(_certificates.CERTIFICATES)
     parts = [p.split() for p in table[key][0].split(" / ")]
     parts[part][0] = str(int(parts[part][0]) + 1)
@@ -211,8 +213,8 @@ def test_certificate_loader_rejects_a_tampered_entry(monkeypatch, part):
     monkeypatch.setattr(_certificates, "CERTIFICATES", table)
     engine._certificates.cache_clear()
     try:
-        with pytest.raises(ValueError, match="bad dual certificate for l=4 torus=True coordinate 3 max"):
-            engine._certificates(4)
+        with pytest.raises(ValueError, match=f"bad dual certificate for l=4 torus={torus} coordinate 3 max"):
+            engine._certificates(4, torus)
     finally:
         engine._certificates.cache_clear()
 
@@ -226,6 +228,25 @@ def test_only_rank4_sections_carry_a_root_box():
     for section in (section_for(sigma), section_for(sigma, (2, 1))):
         lo, hi = section.box
         assert len(lo) == len(hi) == section.dim and None not in lo + hi
+
+
+def test_certified_root_boxes_of_the_rank4_ladder_sections():
+    # The sigma-section of (5,5,5,5)^2 and its lambda-section at (10, 10):
+    # the certified boxes, their width sums (81 each), and the sums once
+    # root propagation has run from them (57 and 60).
+    sigma = partitions_to_weight(P(5, 5, 5, 5), P(5, 5, 5, 5), 4)
+    pinned = [
+        (None, [-2, -5, 0, -2, -5, -2, -5, 0, -5, -5, 0, -5, 0, 0, 0, 0, 0, 0, 0, 0],
+         [5, 5, 5, 0, 5, 0, 5, 0, 0, 0, 0, 0, 5, 0, 5, 0, 5, 0, 0, 5], 57),
+        ((10, 10), [-1, -3, 0, -2, -5, -2, -5, 0, -5, -5, 0, -5, 0, 0, 0, 0, 0, 0, 0, 0],
+         [3, 2, 5, 0, 5, 3, 5, 0, 0, 0, 0, 0, 5, 0, 5, 0, 5, 5, 0, 5], 60),
+    ]
+    for lam, lo, hi, propagated in pinned:
+        section = section_for(sigma, lam)
+        assert section.box == (lo, hi)
+        assert sum(h - l for l, h in zip(lo, hi)) == 81
+        lo, hi = linalg.propagate_box(section.rows, lo, hi)
+        assert sum(h - l for l, h in zip(lo, hi)) == propagated
 
 
 def test_pool_box_holds_every_point_of_random_rank4_sections():

@@ -90,6 +90,20 @@ def test_diagnosis_examples():
     assert diagnose(bad) == INFEASIBLE
 
 
+def test_scan_starts_from_the_sides_the_lp_closed():
+    # The rotated square 0 <= x + y <= 2t, 0 <= x - y <= 2t at t = 1 over
+    # (x, y, t): no single row bounds x or y, so root propagation leaves both
+    # open and the scan's first node starts from the sides lp_box closed.
+    section = PolytopeSection(3, [(1, 1, 0), (-1, -1, 2), (1, -1, 0), (-1, 1, 2)],
+                              [((0, 0, 1), 1)])
+    lo, hi = linalg.propagate_box(section.rows, [None] * 3, [None] * 3)
+    assert lo[:2] == hi[:2] == [None, None]
+    points = enumerate_points(section)
+    assert list(points) == box_scan_oracle(section) and len(points) == 5
+    assert count_points(section) == 5
+    assert diagnose(section) == BOUNDED
+
+
 def test_unbounded_sections_rejected_with_diagnosis():
     bare = PolytopeSection.from_cone(cone_inequalities(2))
     with pytest.raises(SectionError) as err:
