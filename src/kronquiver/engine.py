@@ -273,22 +273,18 @@ class CrossValidationReport:
         return out
 
 
-def _validate_pair(args):
-    """Every case of one ``(mu, nu)`` pair; their polytope counts share the
-    pair's one sigma-section histogram through ``_pair_memo``."""
+def _validate_pair(pair):
+    """The reports of every case of one ``(mu, nu)`` pair; their polytope
+    counts share the pair's one sigma-section histogram through
+    ``_pair_memo``."""
     global _pair_memo
-    mu_parts, nu_parts, n = args
-    mu = Partition(mu_parts)
-    nu = Partition(nu_parts)
-    out = []
+    mu, nu = pair
     _pair_memo = {}
     try:
-        for lam in partitions_of(n, max_length=2):
-            rep = kronecker(KroneckerQuery.create(mu, nu, lam), method="all")
-            out.append(((mu_parts, nu_parts, lam.parts), dict(rep.values)))
+        return [kronecker(KroneckerQuery.create(mu, nu, lam), method="all")
+                for lam in partitions_of(mu.size, max_length=2)]
     finally:
         _pair_memo = None
-    return out
 
 
 _CHUNK = 8
@@ -301,11 +297,9 @@ def cross_validate(n_max: int, l_max: int, jobs: int = 1) -> CrossValidationRepo
     The ``(mu, nu)`` pairs go out in chunks of eight, to at most ``jobs``
     worker processes and never more workers than chunks."""
     report = CrossValidationReport()
-    pairs = []
-    for n in range(0, n_max + 1):
-        for mu in partitions_of(n, max_length=l_max):
-            for nu in partitions_of(n, max_length=l_max):
-                pairs.append((mu.parts, nu.parts, n))
+    pairs = [(mu, nu) for n in range(n_max + 1)
+             for mu in partitions_of(n, max_length=l_max)
+             for nu in partitions_of(n, max_length=l_max)]
     # The pool forks every worker up front, so start no more than there are
     # chunks to hand out, and none for a single chunk.
     jobs = min(jobs, -(-len(pairs) // _CHUNK))
@@ -314,15 +308,15 @@ def cross_validate(n_max: int, l_max: int, jobs: int = 1) -> CrossValidationRepo
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_validate_pair, pairs, chunksize=_CHUNK))
     else:
-        results = [_validate_pair(p) for p in pairs]
+        # Lazy, so each pair's reports are tallied and dropped before the next
+        # pair runs.
+        results = map(_validate_pair, pairs)
     for chunk in results:
-        for triple, values in chunk:
+        for rep in chunk:
             report.cases += 1
-            if len(set(values.values())) <= 1:
+            if rep.agree:
                 report.agreements += 1
             elif report.first_discrepancy is None:
-                report.first_discrepancy = (
-                    (Partition(triple[0]), Partition(triple[1]), Partition(triple[2])),
-                    values,
-                )
+                q = rep.query
+                report.first_discrepancy = ((q.mu, q.nu, q.lam), rep.values)
     return report

@@ -4,7 +4,7 @@ integer inequality rows a.g >= 0 plus equality rows a.g = b.
 A section keeps one row form: at construction every constraint becomes
 one-sided sparse rows of nonzero ``(index, coeff)`` terms (the form
 ``linalg.propagate_box`` takes), an equality as two rows.  One scan,
-``_scan``: a Hermite-style integer solve certifies that the equality lattice
+``_scan``: a Hermite-style solvability test proves that the equality lattice
 has a point; interval propagation over those rows bounds what it can of the
 coordinate box, and exact LP (``linalg.lp_box``, idle when propagation closed
 the box) bounds the rest; a depth-first scan with per-node propagation then
@@ -89,8 +89,8 @@ def _scan(section: PolytopeSection) -> list:
     section."""
     eq_rows = [a for a, _ in section.equalities]
     eq_rhs = [b for _, b in section.equalities]
-    # Certify integer solvability of the equality lattice before scanning.
-    if eq_rows and linalg.solve_integer_system(eq_rows, eq_rhs) is None:
+    # Certify that the equality lattice has an integer point before scanning.
+    if not linalg.solve_integer_system(eq_rows, eq_rhs):
         return []
     lo, hi = section.box or ([None] * section.dim, [None] * section.dim)
     box = linalg.propagate_box(section.rows, lo, hi, watch=section.watch)

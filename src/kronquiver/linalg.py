@@ -1,5 +1,5 @@
 """Exact rational linear algebra: Fraction determinant, inverse and rank,
-integer lattice solving, interval propagation, LP bounds and LP dual
+an integer solvability test, interval propagation, LP bounds and LP dual
 certificates for integer boxes, and a two-phase simplex over the rationals.
 
 Elimination runs on integer rows: a row is a pair ``(a, d)`` of a list of
@@ -11,8 +11,8 @@ Gauss-Jordan step ``_pivot``.  ``Fraction`` appears only at the edges
 (inputs, the simplex ratio test, LP values and points, ``inverse`` entries
 and determinants).  ``lp_box`` prices every objective into one phase 1
 tableau, and ``dual_certificate`` solves the dual LP of one side of a cone
-section with ``solve_lp``.  ``solve_integer_system`` uses unimodular integer
-column operations instead.  ``propagate_box`` takes sparse rows
+section with ``solve_lp``.  ``solve_integer_system`` decides integer
+solvability by column operations.  ``propagate_box`` takes sparse rows
 ``(terms, r)``, meaning ``sum(c * x[i] for i, c in terms) >= r``, whose terms
 are the nonzero ``(index, coeff)`` pairs only: a zero coefficient would
 divide by zero.  It is one queue of rows, as in AC-3 (Mackworth, 1977): a
@@ -140,29 +140,28 @@ def _ext_gcd(a, b):
 
 
 def solve_integer_system(eq_rows, rhs):
-    """Solve E x = b over the integers.
+    """Whether E x = b has an integer solution (True for a system of no rows).
 
     ``eq_rows`` is a list of integer rows, ``rhs`` the integer right-hand
-    sides.  Returns one integer solution ``x0`` as a tuple, or ``None`` when
-    no integer solution exists (including the rationally infeasible case).
+    sides.  Unimodular column operations bring ``E`` to the lower-triangular
+    ``H = E U`` (column Hermite form; Schrijver 1986, Cor. 4.1c), and forward
+    substitution decides whether ``H y = b``, and so ``E x = b``, has one.
     """
     m = len(eq_rows)
     n = len(eq_rows[0]) if m else 0
     h = [list(row) for row in eq_rows]
-    u = identity(n)
 
     def colop_combine(r, j, k):
-        # Column ops making h[r][j] = gcd and h[r][k] = 0, tracked in u.
+        # Column ops making h[r][j] = gcd and h[r][k] = 0.
         a, b = h[r][j], h[r][k]
         g, s, t = _ext_gcd(a, b)
         p, q = -(b // g), a // g
-        for rows in (h, u):
-            for row in rows:
-                rj, rk = row[j], row[k]
-                row[j] = s * rj + t * rk
-                row[k] = p * rj + q * rk
+        for row in h:
+            rj, rk = row[j], row[k]
+            row[j] = s * rj + t * rk
+            row[k] = p * rj + q * rk
 
-    pivots = []  # (row, col)
+    piv_of_row = {}  # row -> its pivot column
     col = 0
     for r in range(m):
         if col >= n:
@@ -174,27 +173,24 @@ def solve_integer_system(eq_rows, rhs):
             if h[r][j]:
                 colop_combine(r, j0, j)
         if j0 != col:
-            for rows in (h, u):
-                for row in rows:
-                    row[col], row[j0] = row[j0], row[col]
-        pivots.append((r, col))
+            for row in h:
+                row[col], row[j0] = row[j0], row[col]
+        piv_of_row[r] = col
         col += 1
 
     # Forward-substitute pivot variables; a non-divisible step means no
     # integer solution, a mismatched pivot-free row means no solution at all.
     y = [0] * n
-    piv_of_row = dict(pivots)
     for r in range(m):
         acc = rhs[r] - sum(h[r][j] * y[j] for j in range(col) if h[r][j])
         if r in piv_of_row:
             c = piv_of_row[r]
             if acc % h[r][c]:
-                return None
+                return False
             y[c] += acc // h[r][c]
         elif acc != 0:
-            return None
-
-    return tuple(sum(u[i][j] * y[j] for j in range(col)) for i in range(n))
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from kronquiver import cli, engine, symfunc
+from kronquiver import cli, engine, fanhex, symfunc
 from kronquiver.cli import main
 from kronquiver.lattice import SectionError, parse_hrep
 from kronquiver.linalg import UNBOUNDED
@@ -138,6 +138,21 @@ def test_verify_suites(capsys):
     payload = json.loads(out)
     validate(payload, "verify.json")
     assert payload["all_agree"]
+
+
+def test_verify_fan_reports_a_failed_check(monkeypatch, capsys):
+    # A repeated generator makes the first cone singular: the suite reports
+    # it with exit 4 instead of computing the fan's series.
+    good = fanhex.diamond2_fan()
+    cone = good.cones[0]
+    bad = fanhex.UnimodularFan(good.dim, (cone[:-1] + cone[:1],) + good.cones[1:])
+    monkeypatch.setattr(fanhex, "diamond2_fan", lambda: bad)
+    code, out = run_cli(capsys, "verify", "fan")
+    payload = json.loads(out)
+    assert code == 4
+    assert payload["ok"] is False and payload["series_matches"] is False
+    assert payload["issues"]
+    validate(payload, "verify.json")
 
 
 @pytest.mark.parametrize("affinity, cpu_count, jobs", [

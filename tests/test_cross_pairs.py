@@ -97,6 +97,24 @@ def test_pair_memo_is_cleared_when_a_case_raises(monkeypatch):
     assert len(seen) == 1 and len(seen[0]) == 1
 
 
+def test_first_discrepancy_is_the_first_case_that_disagrees(monkeypatch):
+    # An LR oracle one too high at lambda = (2, 1) disagrees on the four
+    # size-3 cases with that lambda; the report names the first in sweep order.
+    lr = engine.symfunc.kron_via_lr
+
+    def off_at_21(lam, mu, nu, m=2):
+        return lr(lam, mu, nu, m) + (lam == P(2, 1))
+
+    monkeypatch.setattr(engine.symfunc, "kron_via_lr", off_at_21)
+    rep = cross_validate(3, 2)
+    assert rep.cases - rep.agreements == 4 and not rep.all_agree
+    assert rep.first_discrepancy == ((P(3), P(3), P(2, 1)),
+                                     {"polytope": 0, "characters": 0, "lr": 1})
+    assert rep.to_json_dict()["first_discrepancy"] == {
+        "mu": str(P(3)), "nu": str(P(3)), "lambda": str(P(2, 1)),
+        "methods": {"polytope": 0, "characters": 0, "lr": 1}}
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs the map in
     this process and starts nothing."""

@@ -129,6 +129,33 @@ def test_integer_empty_but_rationally_feasible():
     assert len(enumerate_points(section)) == 0
 
 
+@pytest.mark.parametrize("mu, nu, l", [((3, 2, 1), (2, 2, 2), 3),
+                                        ((2, 2, 1, 1), (3, 1, 1, 1), 4),
+                                        ((2, 1, 1, 1, 1), (2, 2, 1, 1), 5)])
+def test_torus_weight_off_the_size_fails_the_integer_certificate(monkeypatch, mu, nu, l):
+    # The equalities of the lambda-section at torus weight (a, b) have an
+    # integer point exactly when a + b = |sigma|.  Otherwise the certificate
+    # empties the section before any propagation: a scan without it takes
+    # seconds at l = 5.
+    sigma = partitions_to_weight(Partition(mu), Partition(nu), l)
+    n = sigma.size
+
+    def solvable(section):
+        return linalg.solve_integer_system([a for a, _ in section.equalities],
+                                           [b for _, b in section.equalities])
+
+    assert all(solvable(section_for(sigma, (a, n - a))) for a in range(n + 1))
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the scan propagated")
+
+    monkeypatch.setattr(linalg, "propagate_box", no_propagation)
+    for lam in [(n, 1), (n - 1, 0), (n + 3, -1), (0, n + 1), (2, 2)]:
+        section = section_for(sigma, lam)
+        assert not solvable(section), lam
+        assert count_points(section) == 0
+
+
 def test_count_matches_enumeration():
     rng = random.Random(13)
     for _ in range(8):
